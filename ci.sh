@@ -6,8 +6,8 @@
 #                      lint-corpus + miri (when available)
 #   ./ci.sh telemetry  the focused observability gate: pedantic lints on
 #                      snowplow-telemetry and the golden determinism
-#                      test (identical metric snapshots across worker
-#                      counts and cache modes).
+#                      test (the metric snapshot matches its pinned hash
+#                      at every worker count).
 #   ./ci.sh lint-corpus
 #                      the sp-lint gate alone: the checked-in clean
 #                      corpus file must lint clean, the generator
@@ -30,9 +30,9 @@
 #                      the shared-store fleet goldens.
 #   ./ci.sh exec       the focused compiled-executor gate: the
 #                      compiled-vs-interpreted equivalence golden +
-#                      proptest, the campaign/telemetry identity golden,
-#                      and a compile check of the exec_throughput
-#                      microbenches.
+#                      proptest, the pinned campaign report and
+#                      telemetry hashes, and a compile check of the
+#                      exec_throughput microbenches.
 #   ./ci.sh inference  the focused inference gate: tiled-GEMM and
 #                      parallel-matmul kernel-equality tests (bit
 #                      identity at workers 1/2/8), the f16 quantization
@@ -99,8 +99,7 @@ fi
 
 if [[ "${1:-}" == "exec" ]]; then
     cargo test -q -p snowplow-kernel --test compiled_equiv
-    cargo test -q -p snowplow-fuzzer --lib \
-        compiled_executor_preserves_reports_and_telemetry_bit_identically
+    cargo test -q -p snowplow-fuzzer --test corpus_golden --test telemetry_golden
     cargo bench -p snowplow-bench --no-run
     exit 0
 fi

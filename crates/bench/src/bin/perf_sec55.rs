@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use rand::prelude::*;
 use snowplow_bench::day_config;
-use snowplow_core::fuzzing::{Campaign, FuzzerKind};
+use snowplow_core::fuzzing::{Campaign, CorpusConfig, FuzzerKind, SchedulePolicy};
 use snowplow_core::learning::{BatchPolicy, InferenceService, Matrix, QueryGraph};
 use snowplow_core::prelude::Telemetry;
 use snowplow_core::{train_pmm, Dataset, DatasetConfig, Kernel, KernelVersion, Pmm, Scale, Vm};
@@ -579,25 +579,6 @@ fn main() {
     bench.gauge("fuzzing.snowplow_execs_per_sec", snow_rate);
     bench.gauge("fuzzing.ratio", snow_rate / base_rate);
 
-    // Interpreter cross-check: the same virtual day re-run with the
-    // reference interpreter pinned must produce a fingerprint-identical
-    // report (the campaign-level restatement of the `compiled_equiv`
-    // golden). Its wall-clock rate is informational only — at the
-    // campaign level execution is a small slice of each loop iteration,
-    // so the campaign/campaign ratio sits at 1.0 ± scheduler noise.
-    let mut interp_cfg = day_config(1);
-    interp_cfg.exec.compiled = false;
-    let t = Instant::now();
-    let interp = Campaign::new(&kernel, FuzzerKind::Syzkaller, interp_cfg).run();
-    let interp_rate = interp.execs as f64 / t.elapsed().as_secs_f64();
-    assert_eq!(
-        base.fingerprint(),
-        interp.fingerprint(),
-        "compiled and interpreted campaigns must report identically"
-    );
-    println!("interpreted syzkaller: {interp_rate:.0} tests/s (fingerprint-identical report)");
-    bench.gauge("fuzzing.interpreted_execs_per_sec", interp_rate);
-
     // Compiled executor win, isolated: the two executors head-to-head
     // on one program stream through the campaign's zero-alloc
     // `execute_into` path (the `exec_throughput_*` microbench shape).
@@ -657,7 +638,9 @@ fn main() {
     // the scheduled one, instead of reusing `base_rate` from minutes
     // earlier — the ratio must compare two runs under the same clock.
     let mut sched_cfg = day_config(1);
-    sched_cfg.distance_scheduling = true;
+    sched_cfg.corpus = CorpusConfig::builder()
+        .policy(SchedulePolicy::Distance)
+        .build();
     let mut sched_secs = Vec::new();
     let mut stock_secs = Vec::new();
     let mut sched_opt = None;

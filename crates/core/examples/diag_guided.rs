@@ -1,7 +1,7 @@
 //! Isolated A/B test of guided vs random argument localization.
 
 use rand::prelude::*;
-use snowplow_core::fuzzing::Corpus;
+use snowplow_core::fuzzing::CorpusHandle;
 use snowplow_core::{train_pmm, Kernel, KernelVersion, Scale, Vm};
 use snowplow_pmm::graph::QueryGraph;
 use snowplow_prog::gen::Generator;
@@ -16,7 +16,7 @@ fn main() {
     let mut mutator = Mutator::new(kernel.registry());
     let mut vm = Vm::new(&kernel);
     let snap = vm.snapshot();
-    let _ = Corpus::new();
+    let _ = CorpusHandle::new();
 
     // Simulate mid-campaign state: global coverage from 3000 random execs.
     let mut global = snowplow_core::EdgeSet::new();

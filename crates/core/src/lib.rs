@@ -43,10 +43,10 @@ pub use snowplow_syslang::{builtin, Registry, SyscallId};
 pub mod fuzzing {
     pub use snowplow_fuzzer::{
         attempt_reproducer, Campaign, CampaignConfig, CampaignConfigBuilder, CampaignReport,
-        CampaignState, Corpus, CorpusConfig, CorpusConfigBuilder, CorpusEntry, CorpusHandle,
-        CorpusStore, CrashLog, CrashRecord, DirectedCampaign, DirectedConfig,
-        DirectedConfigBuilder, DirectedOutcome, FuzzerKind, PendingPrediction, ReproOutcome,
-        RunningCampaign, SchedulePolicy, SeedScheduler, StoreStats, TimelinePoint, VirtualClock,
+        CampaignState, CorpusConfig, CorpusConfigBuilder, CorpusEntry, CorpusHandle, CorpusStore,
+        CrashLog, CrashRecord, DirectedCampaign, DirectedConfig, DirectedConfigBuilder,
+        DirectedOutcome, FuzzerKind, PendingPrediction, ReproOutcome, RunningCampaign,
+        SchedulePolicy, SeedScheduler, StoreStats, TimelinePoint, VirtualClock,
     };
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Historically the fuzzer had three weight paths tangled together:
 //! the baseline contribution weights baked into `Corpus::choose`, the
-//! frontier-distance overrides installed by `set_schedule_weights`, and
+//! frontier-distance overrides installed by the campaign, and
 //! ad-hoc uniform selection in tooling. [`SeedScheduler`] is the one
 //! interface behind all of them: a policy looks at a
 //! [`ScheduleContext`] and either returns override weights to install
@@ -28,8 +28,7 @@ pub enum SchedulePolicy {
     Uniform,
     /// Frontier-distance scheduling: entries whose coverage sits close
     /// to uncovered CFG frontier blocks are up-weighted. Needs block
-    /// distances from the campaign's static analysis; equivalent to the
-    /// historical `distance_scheduling` flag.
+    /// distances from the campaign's static analysis.
     Distance,
     /// Cost-normalized rare-edge scheduling: entries holding rare edges
     /// (short posting lists in the store's inverted index) are

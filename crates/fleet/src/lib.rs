@@ -22,4 +22,4 @@ pub mod scheduler;
 pub mod snapshot;
 
 pub use scheduler::{fair_share_spread, FleetScheduler};
-pub use snapshot::CampaignSnapshot;
+pub use snapshot::{CampaignSnapshot, UnsupportedVersion};

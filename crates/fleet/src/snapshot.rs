@@ -15,8 +15,7 @@
 //!
 //! The hot-loop caches are pure functions of the state and are *not*
 //! serialized: a resume rebuilds them cold, provably without observable
-//! effect (the `hot_caches` golden test in `snowplow-fuzzer` and the
-//! resume goldens in this crate's tests pin that down).
+//! effect (the resume goldens in this crate's tests pin that down).
 //!
 //! The wire format follows the repo's checkpoint conventions
 //! (`SNOWPMM1` in `snowplow-mlcore`): an 8-byte magic, a `u32` version,
@@ -25,12 +24,12 @@
 //!
 //! [`resume`]: CampaignSnapshot::resume
 
-use std::io;
+use std::{fmt, io};
 
 use rand::rngs::StdRng;
 use snowplow_fuzzer::campaign::PendingPrediction;
 use snowplow_fuzzer::{
-    CampaignConfig, CampaignState, Corpus, CorpusEntry, CrashLog, CrashRecord, FuzzerKind,
+    CampaignConfig, CampaignState, CorpusEntry, CorpusHandle, CrashLog, CrashRecord, FuzzerKind,
     RunningCampaign, TimelinePoint, VirtualClock,
 };
 use snowplow_kernel::{
@@ -44,14 +43,39 @@ use crate::codec::{Dec, Enc};
 
 /// File magic: "SNOWFLT1" — Snowplow fleet snapshot, format family 1.
 const MAGIC: &[u8; 8] = b"SNOWFLT1";
-/// Format version; bump on any layout change. v2 added
-/// `exec.compiled` to the serialized config. v3 added the shared-corpus
+/// Format version; bump on any layout change. v2 added the executor
+/// selection flag to the serialized config. v3 added the shared-corpus
 /// fields: per-entry `exec_time_ns` and pin flag, the handle's dedup
 /// hit count, and the seed-scheduling policy tag in the config. (The
 /// shared store itself is never serialized — on resume each campaign
 /// re-attaches its view and the store contents are exactly the union of
-/// the reattached views.)
-const VERSION: u32 = 3;
+/// the reattached views.) v4 dropped the three config booleans that
+/// selected the hot-loop caches, distance scheduling and the executor;
+/// those runtime knobs no longer exist. Older versions are rejected with
+/// [`UnsupportedVersion`], never decoded.
+const VERSION: u32 = 4;
+
+/// The error carried inside the `io::Error` (kind `InvalidData`) that
+/// [`CampaignSnapshot::from_bytes`] returns for a snapshot written in
+/// another format version. Recover it with
+/// `err.get_ref().and_then(|e| e.downcast_ref::<UnsupportedVersion>())`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnsupportedVersion {
+    /// The version the snapshot header declares.
+    pub found: u32,
+}
+
+impl fmt::Display for UnsupportedVersion {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "unsupported snapshot version {} (supported: {VERSION})",
+            self.found
+        )
+    }
+}
+
+impl std::error::Error for UnsupportedVersion {}
 
 /// Everything needed to resume a campaign where it left off.
 #[derive(Clone)]
@@ -138,9 +162,10 @@ impl CampaignSnapshot {
         }
         let version = d.u32()?;
         if version != VERSION {
-            return Err(Dec::error(&format!(
-                "unsupported snapshot version {version} (supported: {VERSION})"
-            )));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                UnsupportedVersion { found: version },
+            ));
         }
         let config = dec_config(&mut d)?;
         let state = dec_state(&mut d)?;
@@ -171,9 +196,6 @@ fn enc_config(e: &mut Enc, c: &CampaignConfig) {
     e.usize(c.exec.workers);
     e.usize(c.max_pending_predictions);
     e.usize(c.guided_use_multiplier);
-    e.bool(c.hot_caches);
-    e.bool(c.distance_scheduling);
-    e.bool(c.exec.compiled);
     e.u8(c.corpus.policy.to_tag());
 }
 
@@ -197,9 +219,6 @@ fn dec_config(d: &mut Dec<'_>) -> io::Result<CampaignConfig> {
     c.exec.workers = d.usize()?;
     c.max_pending_predictions = d.usize()?;
     c.guided_use_multiplier = d.usize()?;
-    c.hot_caches = d.bool()?;
-    c.distance_scheduling = d.bool()?;
-    c.exec.compiled = d.bool()?;
     let tag = d.u8()?;
     let policy = snowplow_fuzzer::SchedulePolicy::from_tag(tag)
         .ok_or_else(|| Dec::error(&format!("invalid SchedulePolicy tag {tag}")))?;
@@ -335,7 +354,7 @@ fn dec_state(d: &mut Dec<'_>) -> io::Result<CampaignState> {
     // Restored over a private store; a shared-corpus resume re-attaches
     // the view when `RunningCampaign` is rebuilt with the store in its
     // config.
-    let corpus = Corpus::restore_parts(entries, sched, pinned, dedup_hits);
+    let corpus = CorpusHandle::restore_parts(entries, sched, pinned, dedup_hits);
 
     let blocks = Coverage::from_words(dec_words(d)?);
     let n_rows = d.len(8)?;
@@ -845,6 +864,20 @@ mod tests {
         let mut bad = bytes.clone();
         bad[16] = 0xFF;
         assert!(CampaignSnapshot::from_bytes(&bad).is_err());
+        // A v3 header (the last format that carried the removed config
+        // booleans) is rejected with a typed error naming the version,
+        // before any field is decoded.
+        let mut v3 = bytes.clone();
+        v3[16..20].copy_from_slice(&3u32.to_le_bytes());
+        let err = CampaignSnapshot::from_bytes(&v3)
+            .err()
+            .expect("v3 snapshot rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let typed = err
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<UnsupportedVersion>());
+        assert_eq!(typed, Some(&UnsupportedVersion { found: 3 }));
+        assert!(err.to_string().contains("version 3"), "{err}");
         // Truncation at every 97th byte must error, never panic.
         for cut in (0..bytes.len()).step_by(97) {
             assert!(CampaignSnapshot::from_bytes(&bytes[..cut]).is_err());

@@ -8,8 +8,8 @@
 //!   iso-resource (same machine-time for both fuzzers); campaigns here
 //!   advance virtual time per execution and per pending inference, so a
 //!   "24-hour" run is an execution budget, reproducible and fast;
-//! * [`corpus`] — re-export of the `snowplow-corpus` crate's
-//!   [`CorpusHandle`]: a per-campaign view over a (private or shared)
+//! * [`CorpusHandle`] — re-exported from the `snowplow-corpus` crate:
+//!   a per-campaign view over a (private or shared)
 //!   coverage-indexed [`CorpusStore`] with Syzkaller-style weighted test
 //!   selection, weighted minimization, and pluggable seed scheduling;
 //! * [`crash`] — crash dedup by signature, the paper's §5.3.2 filtering
@@ -23,7 +23,6 @@
 
 pub mod campaign;
 pub mod clock;
-pub mod corpus;
 pub mod crash;
 pub mod directed;
 pub mod repro;
@@ -33,10 +32,10 @@ pub use campaign::{
     EdgeAttribution, FuzzerKind, PendingPrediction, RunningCampaign, TimelinePoint,
 };
 pub use clock::VirtualClock;
-pub use corpus::{Corpus, CorpusEntry, CorpusHandle};
 pub use crash::{CrashLog, CrashRecord};
 pub use directed::{DirectedCampaign, DirectedConfig, DirectedConfigBuilder, DirectedOutcome};
 pub use repro::{attempt_reproducer, ReproOutcome};
 pub use snowplow_corpus::{
-    CorpusConfig, CorpusConfigBuilder, CorpusStore, SchedulePolicy, SeedScheduler, StoreStats,
+    CorpusConfig, CorpusConfigBuilder, CorpusEntry, CorpusHandle, CorpusStore, SchedulePolicy,
+    SeedScheduler, StoreStats,
 };

@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use snowplow_fuzzer::{Campaign, CampaignConfig, FuzzerKind};
+use snowplow_fuzzer::{Campaign, CampaignConfig, CorpusConfig, FuzzerKind, SchedulePolicy};
 use snowplow_kernel::{Kernel, KernelVersion};
 use snowplow_pmm::model::{Pmm, PmmConfig};
 
@@ -72,13 +72,17 @@ fn private_store_campaigns_match_pre_refactor_hashes() {
 }
 
 #[test]
-fn distance_scheduling_matches_pre_refactor_hash() {
+fn distance_policy_matches_pre_refactor_hash() {
     let kernel = Kernel::build(KernelVersion::V6_8);
     let config = CampaignConfig::builder()
         .duration(Duration::from_secs(600))
         .seed_corpus(20)
         .sample_every(Duration::from_secs(60))
-        .distance_scheduling(true)
+        .corpus(
+            CorpusConfig::builder()
+                .policy(SchedulePolicy::Distance)
+                .build(),
+        )
         .seed(5)
         .build();
     assert_eq!(

@@ -12,9 +12,8 @@
 //! CFGs *compiled* to threaded code (see [`crate::compile`]; the
 //! translation is shared process-wide per kernel build), which is what
 //! every production loop runs. [`Vm::interpreted`] keeps the direct
-//! CFG interpreter selectable — the reference implementation the
-//! compiled form is tested bit-identical against, and the executor the
-//! `exec.compiled = false` campaign flag selects.
+//! CFG interpreter available — the reference implementation the
+//! compiled form is tested bit-identical against.
 
 use std::sync::Arc;
 
@@ -141,7 +140,7 @@ impl<'k> Vm<'k> {
     /// Boots a pristine VM running the direct CFG interpreter. Produces
     /// results bit-identical to [`Vm::new`]'s — the `compiled_equiv`
     /// golden pins that — just slower; it exists as the reference
-    /// executor and for the `exec.compiled = false` escape hatch.
+    /// executor that oracles and benchmarks compare against.
     pub fn interpreted(kernel: &'k Kernel) -> Self {
         Vm {
             kernel,

@@ -35,6 +35,10 @@ pub fn save_params(params: &Params, path: &Path) -> io::Result<()> {
 /// The store must already contain the same number of parameters with the
 /// same shapes (i.e. build the model first, then load weights) — this
 /// guards against loading a checkpoint into the wrong architecture.
+///
+/// All-or-nothing: every matrix is decoded before any is assigned, so a
+/// truncated or mismatched checkpoint returns `Err` with `params`
+/// untouched.
 pub fn load_params(params: &mut Params, path: &Path) -> io::Result<()> {
     let mut r = BufReader::new(File::open(path)?);
     let mut magic = [0u8; 8];
@@ -55,6 +59,7 @@ pub fn load_params(params: &mut Params, path: &Path) -> io::Result<()> {
             ),
         ));
     }
+    let mut loaded = Vec::with_capacity(count);
     for i in 0..count {
         let rows = read_u64(&mut r)? as usize;
         let cols = read_u64(&mut r)? as usize;
@@ -74,7 +79,10 @@ pub fn load_params(params: &mut Params, path: &Path) -> io::Result<()> {
             r.read_exact(&mut buf)?;
             *v = f32::from_le_bytes(buf);
         }
-        *params.get_mut(id) = Matrix::from_vec(rows, cols, data);
+        loaded.push(Matrix::from_vec(rows, cols, data));
+    }
+    for (i, m) in loaded.into_iter().enumerate() {
+        *params.get_mut(ParamId(i)) = m;
     }
     Ok(())
 }
@@ -126,5 +134,40 @@ mod tests {
         too_many.add(Matrix::zeros(2, 2));
         too_many.add(Matrix::zeros(1, 1));
         assert!(load_params(&mut too_many, &path).is_err());
+    }
+
+    #[test]
+    fn truncated_checkpoint_leaves_params_untouched() {
+        let dir = std::env::temp_dir().join("snowplow_mlcore_io_test3");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.bin");
+
+        let mut saved = Params::new();
+        saved.add(Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]));
+        saved.add(Matrix::full(1, 3, -0.5));
+        save_params(&saved, &path).unwrap();
+        // Keep the magic, the count, and the whole first matrix (two u64
+        // dims + four f32s); cut before the second matrix's header.
+        let bytes = std::fs::read(&path).unwrap();
+        let first_matrix_end = 8 + 8 + 16 + 4 * 4;
+        std::fs::write(&path, &bytes[..first_matrix_end]).unwrap();
+
+        let mut target = Params::new();
+        target.add(Matrix::full(2, 2, 7.0));
+        target.add(Matrix::full(1, 3, 9.0));
+        let bits = |p: &Params| -> Vec<Vec<u32>> {
+            (0..p.len())
+                .map(|i| {
+                    p.get(ParamId(i))
+                        .data()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                })
+                .collect()
+        };
+        let before = bits(&target);
+        assert!(load_params(&mut target, &path).is_err());
+        assert_eq!(bits(&target), before, "failed load modified the model");
     }
 }

@@ -52,13 +52,6 @@ pub struct ExecConfig {
     /// Metrics destination; [`Telemetry::disabled`] (the default) makes
     /// every recording call a no-op branch.
     pub telemetry: Telemetry,
-    /// Execute test programs through the compiled (threaded-code)
-    /// executor rather than the reference interpreter. Both produce
-    /// bit-identical results (the kernel crate's equivalence golden is
-    /// the proof), so this only trades compile-once overhead for
-    /// per-execution speed; it defaults to `true` and exists so goldens
-    /// and benchmarks can pin the interpreter.
-    pub compiled: bool,
 }
 
 impl Default for ExecConfig {
@@ -66,7 +59,6 @@ impl Default for ExecConfig {
         ExecConfig {
             workers: 1,
             telemetry: Telemetry::disabled(),
-            compiled: true,
         }
     }
 }
@@ -81,13 +73,6 @@ impl ExecConfig {
 
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> ExecConfig {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Selects the compiled executor (`true`, the default) or the
-    /// reference interpreter (`false`).
-    pub fn with_compiled(mut self, compiled: bool) -> ExecConfig {
-        self.compiled = compiled;
         self
     }
 

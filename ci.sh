@@ -33,6 +33,13 @@
 #                      proptest, the pinned campaign report and
 #                      telemetry hashes, and a compile check of the
 #                      exec_throughput microbenches.
+#   ./ci.sh mutate     the focused mutation-engine gate: lints on
+#                      snowplow-syslang and snowplow-prog, their unit
+#                      tests, the fast-path oracles (registry resource
+#                      indexes, path-free random localization and
+#                      per-call finalize against their references), the
+#                      pinned campaign report and telemetry hashes, and a
+#                      compile check of the microbenches.
 #   ./ci.sh inference  the focused inference gate: tiled-GEMM and
 #                      parallel-matmul kernel-equality tests (bit
 #                      identity at workers 1/2/8), the f16 quantization
@@ -43,9 +50,10 @@
 #                      regenerates BENCH_perf.jsonl with perf_sec55
 #                      (which flushes every measurement through the
 #                      telemetry JSONL sink) and fails if any guarded
-#                      metric (matmul GFLOP/s, fuzzing ratio, harvest
-#                      scaling, analysis throughput) drops >20% below
-#                      the committed baseline.
+#                      metric (matmul GFLOP/s, Syzkaller loop and
+#                      mutation rates, fuzzing ratio, harvest scaling,
+#                      analysis throughput) drops >20% below the
+#                      committed baseline.
 set -euo pipefail
 
 lint_corpus() {
@@ -100,6 +108,15 @@ fi
 if [[ "${1:-}" == "exec" ]]; then
     cargo test -q -p snowplow-kernel --test compiled_equiv
     cargo test -q -p snowplow-fuzzer --test corpus_golden --test telemetry_golden
+    cargo bench -p snowplow-bench --no-run
+    exit 0
+fi
+
+if [[ "${1:-}" == "mutate" ]]; then
+    cargo clippy -p snowplow-syslang -p snowplow-prog --all-targets -- -D warnings
+    cargo test -q -p snowplow-syslang -p snowplow-prog
+    cargo test -q -p snowplow-fuzzer --test mutate_oracle --test corpus_golden \
+        --test telemetry_golden
     cargo bench -p snowplow-bench --no-run
     exit 0
 fi

@@ -3,7 +3,8 @@
 //! when any guarded metric regresses by more than 20%.
 //!
 //! Guarded metrics are the ones the perf work optimizes for: matmul
-//! GFLOP/s (both measured shapes), the Snowplow/Syzkaller fuzzing
+//! GFLOP/s (both measured shapes), the stock Syzkaller loop's rate and
+//! the mutation engine's rate under it, the Snowplow/Syzkaller fuzzing
 //! throughput ratio, the compiled/interpreted executor ratio (also held
 //! above an *absolute* floor of 1.0 — the compiled path must never be
 //! slower than the interpreter), the distance-scheduling throughput
@@ -32,6 +33,8 @@ const GUARDED: &[&str] = &[
     "matmul_400x48x48.gflops_fast",
     "matmul_256x256x256.gflops_fast",
     "inference_service.qps",
+    "fuzzing.syzkaller_execs_per_sec",
+    "prog.mutate_per_sec",
     "fuzzing.ratio",
     "fuzzing.compiled_ratio",
     "fuzzing.distance_sched_ratio",

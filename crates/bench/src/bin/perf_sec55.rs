@@ -579,6 +579,34 @@ fn main() {
     bench.gauge("fuzzing.snowplow_execs_per_sec", snow_rate);
     bench.gauge("fuzzing.ratio", snow_rate / base_rate);
 
+    // Mutation engine, isolated: mutants per second over the end-of-day
+    // corpus of a stock Syzkaller day, with the loop's own mix of
+    // argument mutation, call insertion and call removal. Mutation is the
+    // largest layer of the baseline loop, so this is the gauge behind
+    // any claim about it. Fastest of five rounds, like the gauges above.
+    let mut day = Campaign::new(&kernel, FuzzerKind::Syzkaller, day_config(1)).into_running();
+    while day.step() {}
+    let corpus = &day.state().corpus;
+    let bases: Vec<_> = (0..corpus.len()).map(|i| &corpus.entry(i).prog).collect();
+    let mut mutator = snowplow_prog::Mutator::new(kernel.registry());
+    let mut rng = StdRng::seed_from_u64(55);
+    let mutants_per_round = 20_000usize;
+    let mut mutate_secs = f64::INFINITY;
+    for _ in 0..5 {
+        let t = Instant::now();
+        for i in 0..mutants_per_round {
+            let (mutant, _) = mutator.mutate(&mut rng, bases[i % bases.len()]);
+            std::hint::black_box(mutant);
+        }
+        mutate_secs = mutate_secs.min(t.elapsed().as_secs_f64());
+    }
+    let mutate_rate = mutants_per_round as f64 / mutate_secs;
+    println!(
+        "mutation: {mutate_rate:.0} mutants/s over a {}-entry end-of-day corpus",
+        bases.len()
+    );
+    bench.gauge("prog.mutate_per_sec", mutate_rate);
+
     // Compiled executor win, isolated: the two executors head-to-head
     // on one program stream through the campaign's zero-alloc
     // `execute_into` path (the `exec_throughput_*` microbench shape).

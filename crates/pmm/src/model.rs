@@ -343,10 +343,42 @@ impl Pmm {
         std::fs::write(path.with_extension("meta"), meta)
     }
 
-    /// Loads weights saved by [`Pmm::save`] into this model (shapes must
-    /// match, i.e. same config and syscall count).
+    /// Loads weights saved by [`Pmm::save`] into this model. The `.meta`
+    /// sidecar must match this model's `dim`, `rounds`, `attention`,
+    /// syscall count and `quantize` mode (the init `seed` may differ);
+    /// a mismatch is an [`InvalidData`](std::io::ErrorKind::InvalidData)
+    /// error naming the field. On any error the weights are untouched.
     pub fn load(&mut self, path: &std::path::Path) -> std::io::Result<()> {
+        let meta = std::fs::read_to_string(path.with_extension("meta"))?;
+        self.check_meta(&meta)?;
         io::load_params(&mut self.params, path)
+    }
+
+    /// Checks a [`Pmm::save`] sidecar against this model's architecture.
+    fn check_meta(&self, meta: &str) -> std::io::Result<()> {
+        let config = &self.config;
+        let expected = [
+            ("dim", config.dim.to_string()),
+            ("rounds", config.rounds.to_string()),
+            ("attention", config.attention.to_string()),
+            ("syscalls", self.layers.syscall_count.to_string()),
+            ("quantize", config.quantize.name().to_string()),
+        ];
+        for (field, want) in expected {
+            let found = meta
+                .split_whitespace()
+                .find_map(|kv| kv.strip_prefix(field)?.strip_prefix('='));
+            if found != Some(want.as_str()) {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "checkpoint {field} is {}, model has {want}",
+                        found.unwrap_or("missing")
+                    ),
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -932,5 +964,43 @@ mod tests {
         );
         fresh.load(&path).unwrap();
         assert_eq!(fresh.predict(&g), before);
+    }
+
+    #[test]
+    fn load_rejects_a_quantize_mismatch_and_leaves_params_untouched() {
+        let kernel = Kernel::build(KernelVersion::V6_8);
+        let n = kernel.registry().syscall_count();
+        let dir = std::env::temp_dir().join("snowplow_pmm_model_meta_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pmm.bin");
+        let f16 = Pmm::new(
+            PmmConfig {
+                quantize: Quantize::F16,
+                seed: 999,
+                ..PmmConfig::default()
+            },
+            n,
+        );
+        f16.save(&path).unwrap();
+
+        let mut plain = Pmm::new(PmmConfig::default(), n);
+        let bits = |m: &Pmm| -> Vec<Vec<u32>> {
+            (0..m.params.len())
+                .map(|i| {
+                    let id = snowplow_mlcore::ParamId(i);
+                    m.params
+                        .get(id)
+                        .data()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                })
+                .collect()
+        };
+        let before = bits(&plain);
+        let err = plain.load(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("quantize"), "{err}");
+        assert_eq!(bits(&plain), before);
     }
 }

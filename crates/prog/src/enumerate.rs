@@ -9,7 +9,7 @@
 use snowplow_syslang::{ArgPath, PathSegment, Registry, Type, TypeId};
 
 use crate::arg::Arg;
-use crate::prog::Prog;
+use crate::prog::{Call, Prog};
 
 /// One addressable argument site within a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,13 +29,8 @@ pub struct ArgSite {
 /// (call-then-path) order.
 pub fn enumerate_sites(reg: &Registry, prog: &Prog) -> Vec<ArgSite> {
     let mut out = Vec::new();
-    for (ci, call) in prog.calls.iter().enumerate() {
-        let def = reg.syscall(call.def);
-        for (ai, field) in def.args.iter().enumerate() {
-            if let Some(arg) = call.args.get(ai) {
-                walk(reg, ci, field.ty, arg, ArgPath::arg(ai), &mut out);
-            }
-        }
+    for ci in 0..prog.len() {
+        push_call_sites(reg, prog, ci, &mut out);
     }
     out
 }
@@ -46,6 +41,54 @@ pub fn mutable_sites(reg: &Registry, prog: &Prog) -> Vec<ArgSite> {
         .into_iter()
         .filter(|s| s.mutable)
         .collect()
+}
+
+/// The mutable sites of call `ci` alone, in the order [`mutable_sites`]
+/// lists them.
+pub(crate) fn call_mutable_sites(reg: &Registry, prog: &Prog, ci: usize) -> Vec<ArgSite> {
+    let mut out = Vec::new();
+    push_call_sites(reg, prog, ci, &mut out);
+    out.retain(|s| s.mutable);
+    out
+}
+
+/// Number of mutable sites of `call`, counted by the same walk as
+/// [`enumerate_sites`] without building any path.
+pub(crate) fn mutable_site_count(reg: &Registry, call: &Call) -> usize {
+    reg.syscall(call.def)
+        .args
+        .iter()
+        .zip(&call.args)
+        .map(|(field, arg)| count_mutable(reg, field.ty, arg))
+        .sum()
+}
+
+fn push_call_sites(reg: &Registry, prog: &Prog, ci: usize, out: &mut Vec<ArgSite>) {
+    let call = &prog.calls[ci];
+    let def = reg.syscall(call.def);
+    for (ai, (field, arg)) in def.args.iter().zip(&call.args).enumerate() {
+        walk(reg, ci, field.ty, arg, ArgPath::arg(ai), out);
+    }
+}
+
+fn count_mutable(reg: &Registry, ty: TypeId, arg: &Arg) -> usize {
+    let t = reg.ty(ty);
+    let here = usize::from(t.is_mutable());
+    here + match (t, arg) {
+        (Type::Ptr { elem, .. }, Arg::Ptr { inner: Some(a), .. }) => count_mutable(reg, *elem, a),
+        (Type::Struct { fields, .. }, Arg::Group { inner }) => fields
+            .iter()
+            .zip(inner)
+            .map(|(f, a)| count_mutable(reg, f.ty, a))
+            .sum(),
+        (Type::Array { elem, .. }, Arg::Group { inner }) => {
+            inner.iter().map(|a| count_mutable(reg, *elem, a)).sum()
+        }
+        (Type::Union { variants, .. }, Arg::Union { variant, inner }) => variants
+            .get(*variant as usize)
+            .map_or(0, |v| count_mutable(reg, v.ty, inner)),
+        _ => 0,
+    }
 }
 
 fn walk(reg: &Registry, call: usize, ty: TypeId, arg: &Arg, path: ArgPath, out: &mut Vec<ArgSite>) {

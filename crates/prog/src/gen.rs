@@ -56,9 +56,11 @@ impl<'r> Generator<'r> {
         def: SyscallId,
         depth: u32,
     ) -> usize {
-        let fields = self.reg.syscall(def).args.clone();
         let mut addr = DATA_AREA + (prog.len() as u64) * 0x1000;
-        let args = fields
+        let args = self
+            .reg
+            .syscall(def)
+            .args
             .iter()
             .map(|f| self.gen_arg(rng, prog, f.ty, &mut addr, depth))
             .collect();
@@ -76,32 +78,32 @@ impl<'r> Generator<'r> {
         addr: &mut u64,
         depth: u32,
     ) -> Arg {
-        match self.reg.ty(ty).clone() {
-            Type::Int { bits, format } => Arg::int(gen_int(rng, bits, &format)),
-            Type::Flags { values, bits, .. } => Arg::int(gen_flags(rng, &values, bits)),
-            Type::Const { value, .. } => Arg::int(value),
+        match self.reg.ty(ty) {
+            Type::Int { bits, format } => Arg::int(gen_int(rng, *bits, format)),
+            Type::Flags { values, bits, .. } => Arg::int(gen_flags(rng, values, *bits)),
+            Type::Const { value, .. } => Arg::int(*value),
             Type::Len { .. } => Arg::int(0), // computed by finalize
             Type::Ptr { elem, optional, .. } => {
-                if optional && rng.random_bool(0.25) {
+                if *optional && rng.random_bool(0.25) {
                     Arg::null()
                 } else {
                     let a = *addr;
                     *addr += 0x100;
-                    let inner = self.gen_arg(rng, prog, elem, addr, depth);
+                    let inner = self.gen_arg(rng, prog, *elem, addr, depth);
                     Arg::ptr(a, inner)
                 }
             }
             Type::Buffer { kind } => Arg::Data {
-                bytes: gen_buffer(rng, &kind),
+                bytes: gen_buffer(rng, kind),
             },
             Type::Array {
                 elem,
                 min_len,
                 max_len,
             } => {
-                let n = rng.random_range(min_len..=max_len.min(min_len + 4));
+                let n = rng.random_range(*min_len..=(*max_len).min(min_len + 4));
                 let inner = (0..n)
-                    .map(|_| self.gen_arg(rng, prog, elem, addr, depth))
+                    .map(|_| self.gen_arg(rng, prog, *elem, addr, depth))
                     .collect();
                 Arg::Group { inner }
             }
@@ -121,9 +123,9 @@ impl<'r> Generator<'r> {
                 }
             }
             Type::Resource { kind, dir } => {
-                if dir == Dir::In || dir == Dir::InOut {
+                if *dir == Dir::In || *dir == Dir::InOut {
                     Arg::Res {
-                        source: self.wire_resource(rng, prog, kind, depth),
+                        source: self.wire_resource(rng, prog, *kind, depth),
                     }
                 } else {
                     Arg::Res {

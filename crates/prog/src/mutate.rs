@@ -15,10 +15,12 @@
 //! backward-pointing, and length fields are recomputed.
 
 use rand::prelude::*;
-use snowplow_syslang::{ArgPath, Dir, PathSegment, Registry, SyscallId, Type, TypeId};
+use snowplow_syslang::{
+    ArgPath, IntFormat, PathSegment, Registry, ResourceId, SyscallId, Type, TypeId,
+};
 
 use crate::arg::{Arg, ResSource};
-use crate::enumerate::{mutable_sites, ArgSite};
+use crate::enumerate::{call_mutable_sites, mutable_site_count, mutable_sites};
 use crate::gen::{gen_buffer, gen_flags, gen_int};
 use crate::prog::{Call, Prog};
 
@@ -116,55 +118,52 @@ impl Default for RandomLocalizer {
 
 impl ArgLocalizer for RandomLocalizer {
     fn localize(&mut self, reg: &Registry, prog: &Prog, rng: &mut StdRng) -> Vec<ArgLoc> {
-        let mut sites = mutable_sites(reg, prog);
-        if sites.is_empty() {
+        // Weight the *first* draw toward calls with the most mutable
+        // sites, mirroring Syzkaller's arity weighting; subsequent draws
+        // are uniform over the remaining sites. Counting builds no paths.
+        let counts: Vec<usize> = prog
+            .calls
+            .iter()
+            .map(|c| mutable_site_count(reg, c))
+            .collect();
+        let total: usize = counts.iter().sum();
+        if total == 0 {
             return Vec::new();
         }
-        // Weight the *first* draw toward calls with the largest arity,
-        // mirroring Syzkaller's localizer; subsequent draws are uniform
-        // over the remaining sites.
-        let mut out = Vec::with_capacity(self.count);
-        if let Some(first) = weighted_first_site(&sites, rng) {
-            sites.retain(|s| !(s.call == first.call && s.path == first.path));
-            out.push(ArgLoc::new(first.call, first.path));
-        }
-        while out.len() < self.count && !sites.is_empty() {
-            let i = rng.random_range(0..sites.len());
-            let s = sites.swap_remove(i);
-            out.push(ArgLoc::new(s.call, s.path));
+        // Invariant: `pick < total` and the counts sum to `total`, so the
+        // cumulative scan always lands on some call index.
+        let mut pick = rng.random_range(0..total);
+        let call = counts
+            .iter()
+            .position(|&w| {
+                if pick < w {
+                    true
+                } else {
+                    pick -= w;
+                    false
+                }
+            })
+            .expect("counts sum to total");
+        // Only the chosen call's sites are materialized for this draw.
+        // Invariant: the chosen call has a nonzero count.
+        let first = call_mutable_sites(reg, prog, call)
+            .choose(rng)
+            .expect("nonempty")
+            .path
+            .clone();
+        let mut out = vec![ArgLoc::new(call, first)];
+        if self.count > 1 {
+            // Rand.K: the later draws range over every remaining site.
+            let mut sites = mutable_sites(reg, prog);
+            sites.retain(|s| !(s.call == call && s.path == out[0].path));
+            while out.len() < self.count && !sites.is_empty() {
+                let i = rng.random_range(0..sites.len());
+                let s = sites.swap_remove(i);
+                out.push(ArgLoc::new(s.call, s.path));
+            }
         }
         out
     }
-}
-
-fn weighted_first_site(sites: &[ArgSite], rng: &mut StdRng) -> Option<ArgSite> {
-    if sites.is_empty() {
-        return None;
-    }
-    // Per-call site counts serve as arity weights.
-    // Invariant: `sites` is non-empty (checked above), so max() exists.
-    let max_call = sites.iter().map(|s| s.call).max().expect("nonempty");
-    let mut weights = vec![0usize; max_call + 1];
-    for s in sites {
-        weights[s.call] += 1;
-    }
-    let total: usize = weights.iter().sum();
-    // Invariant: `pick < total` and the weights sum to `total`, so the
-    // cumulative scan always lands on some call index.
-    let mut pick = rng.random_range(0..total);
-    let call = weights
-        .iter()
-        .position(|&w| {
-            if pick < w {
-                true
-            } else {
-                pick -= w;
-                false
-            }
-        })
-        .expect("weights sum to total");
-    let call_sites: Vec<&ArgSite> = sites.iter().filter(|s| s.call == call).collect();
-    call_sites.choose(rng).map(|s| (*s).clone())
 }
 
 /// Rewrites argument values in place, preserving validity.
@@ -200,7 +199,8 @@ impl<'r> Instantiator<'r> {
             return false;
         };
         *slot = new_value;
-        prog.finalize(self.reg);
+        // Only this call changed, and `Len` fields are call-local.
+        prog.finalize_call(self.reg, call_idx);
         true
     }
 
@@ -208,33 +208,33 @@ impl<'r> Instantiator<'r> {
     /// `call_idx`, wiring any resources to producers *earlier* than that
     /// call (or special values), so validity is preserved.
     pub fn regen_value(&self, rng: &mut StdRng, ty: TypeId, call_idx: usize, prog: &Prog) -> Arg {
-        match self.reg.ty(ty).clone() {
-            Type::Int { bits, format } => Arg::int(gen_int(rng, bits, &format)),
-            Type::Flags { values, bits, .. } => Arg::int(gen_flags(rng, &values, bits)),
-            Type::Const { value, .. } => Arg::int(value),
+        match self.reg.ty(ty) {
+            Type::Int { bits, format } => Arg::int(gen_int(rng, *bits, format)),
+            Type::Flags { values, bits, .. } => Arg::int(gen_flags(rng, values, *bits)),
+            Type::Const { value, .. } => Arg::int(*value),
             Type::Len { .. } => Arg::int(0),
             Type::Ptr { elem, optional, .. } => {
-                if optional && rng.random_bool(0.2) {
+                if *optional && rng.random_bool(0.2) {
                     Arg::null()
                 } else {
                     Arg::ptr(
                         0x2000_0000 + rng.random_range(0..0x100u64) * 0x100,
-                        self.regen_value(rng, elem, call_idx, prog),
+                        self.regen_value(rng, *elem, call_idx, prog),
                     )
                 }
             }
             Type::Buffer { kind } => Arg::Data {
-                bytes: gen_buffer(rng, &kind),
+                bytes: gen_buffer(rng, kind),
             },
             Type::Array {
                 elem,
                 min_len,
                 max_len,
             } => {
-                let n = rng.random_range(min_len..=max_len.min(min_len + 4));
+                let n = rng.random_range(*min_len..=(*max_len).min(min_len + 4));
                 Arg::Group {
                     inner: (0..n)
-                        .map(|_| self.regen_value(rng, elem, call_idx, prog))
+                        .map(|_| self.regen_value(rng, *elem, call_idx, prog))
                         .collect(),
                 }
             }
@@ -257,7 +257,7 @@ impl<'r> Instantiator<'r> {
                 }
             }
             Type::Resource { kind, .. } => Arg::Res {
-                source: self.pick_resource(rng, kind, call_idx, prog),
+                source: self.pick_resource(rng, *kind, call_idx, prog),
             },
         }
     }
@@ -265,7 +265,7 @@ impl<'r> Instantiator<'r> {
     fn pick_resource(
         &self,
         rng: &mut StdRng,
-        kind: snowplow_syslang::ResourceId,
+        kind: ResourceId,
         call_idx: usize,
         prog: &Prog,
     ) -> ResSource {
@@ -294,17 +294,17 @@ impl<'r> Instantiator<'r> {
         call_idx: usize,
         prog: &Prog,
     ) -> Arg {
-        match (self.reg.ty(ty).clone(), cur) {
+        match (self.reg.ty(ty), cur) {
             (Type::Int { bits, format }, Arg::Int { value }) => {
                 let v = match rng.random_range(0..4u32) {
-                    0 => gen_int(rng, bits, &format),
+                    0 => gen_int(rng, *bits, format),
                     1 => value.wrapping_add(rng.random_range(1..9)),
                     2 => value.wrapping_sub(rng.random_range(1..9)),
-                    _ => value ^ (1 << rng.random_range(0..u32::from(bits.max(1)))),
+                    _ => value ^ (1 << rng.random_range(0..u32::from((*bits).max(1)))),
                 };
-                let v = match &format {
-                    snowplow_syslang::IntFormat::Range { lo, hi } => v.clamp(*lo, *hi),
-                    _ => v & mask(bits),
+                let v = match format {
+                    IntFormat::Range { lo, hi } => v.clamp(*lo, *hi),
+                    _ => v & mask(*bits),
                 };
                 Arg::int(v)
             }
@@ -313,16 +313,16 @@ impl<'r> Instantiator<'r> {
                     // Invariant: non-emptiness is checked in the guard.
                     value ^ values.choose(rng).expect("nonempty")
                 } else {
-                    gen_flags(rng, &values, bits)
+                    gen_flags(rng, values, *bits)
                 };
-                Arg::int(v & mask(bits))
+                Arg::int(v & mask(*bits))
             }
             (Type::Buffer { kind }, Arg::Data { bytes }) => {
                 let mut b = bytes.clone();
                 match rng.random_range(0..3u32) {
                     0 => {
                         return Arg::Data {
-                            bytes: gen_buffer(rng, &kind),
+                            bytes: gen_buffer(rng, kind),
                         }
                     }
                     1 if !b.is_empty() => {
@@ -334,15 +334,15 @@ impl<'r> Instantiator<'r> {
                 Arg::Data { bytes: b }
             }
             (Type::Ptr { elem, optional, .. }, Arg::Ptr { addr, inner }) => match inner {
-                None => Arg::ptr(0x2000_0000, self.regen_value(rng, elem, call_idx, prog)),
+                None => Arg::ptr(0x2000_0000, self.regen_value(rng, *elem, call_idx, prog)),
                 Some(inner_arg) => {
-                    if optional && rng.random_bool(0.15) {
+                    if *optional && rng.random_bool(0.15) {
                         Arg::null()
                     } else {
                         Arg::Ptr {
                             addr: *addr,
                             inner: Some(Box::new(
-                                self.mutated_value(rng, elem, inner_arg, call_idx, prog),
+                                self.mutated_value(rng, *elem, inner_arg, call_idx, prog),
                             )),
                         }
                     }
@@ -357,17 +357,17 @@ impl<'r> Instantiator<'r> {
                 Arg::Group { inner },
             ) => {
                 let mut inner = inner.clone();
-                let can_grow = inner.len() < max_len;
-                let can_shrink = inner.len() > min_len;
+                let can_grow = inner.len() < *max_len;
+                let can_shrink = inner.len() > *min_len;
                 match rng.random_range(0..3u32) {
-                    0 if can_grow => inner.push(self.regen_value(rng, elem, call_idx, prog)),
+                    0 if can_grow => inner.push(self.regen_value(rng, *elem, call_idx, prog)),
                     1 if can_shrink => {
                         let i = rng.random_range(0..inner.len());
                         inner.remove(i);
                     }
                     _ if !inner.is_empty() => {
                         let i = rng.random_range(0..inner.len());
-                        let nv = self.mutated_value(rng, elem, &inner[i], call_idx, prog);
+                        let nv = self.mutated_value(rng, *elem, &inner[i], call_idx, prog);
                         inner[i] = nv;
                     }
                     _ => {}
@@ -414,7 +414,7 @@ impl<'r> Instantiator<'r> {
                 }
             }
             (Type::Resource { kind, .. }, Arg::Res { .. }) => Arg::Res {
-                source: self.pick_resource(rng, kind, call_idx, prog),
+                source: self.pick_resource(rng, *kind, call_idx, prog),
             },
             // Shape drifted (shouldn't happen for validated programs):
             // regenerate wholesale.
@@ -576,24 +576,25 @@ impl<'r> Mutator<'r> {
         }
         let def = self.pick_insertion_def(rng, prog);
         let inst = Instantiator::new(self.reg);
-        let fields = self.reg.syscall(def).args.clone();
-        // Build args wired only to producers before `pos`.
-        let tmp = Prog {
-            calls: p.calls[..pos].to_vec(),
-        };
-        let args = fields
+        // Build args wired only to producers before `pos`: `pick_resource`
+        // reads only `p.calls[..pos]`, which the shift above left as is.
+        let args = self
+            .reg
+            .syscall(def)
+            .args
             .iter()
-            .map(|f| inst.regen_value(rng, f.ty, pos, &tmp))
+            .map(|f| inst.regen_value(rng, f.ty, pos, &p))
             .collect();
         p.calls.insert(pos, Call { def, args });
-        p.finalize(self.reg);
+        // The shift rewired references only, so no other length changed.
+        p.finalize_call(self.reg, pos);
         crate::validator::debug_validate(self.reg, &p);
         p
     }
 
     fn pick_insertion_def(&self, rng: &mut StdRng, prog: &Prog) -> SyscallId {
         // Resource kinds live in the program: kinds produced by its calls.
-        let produced: Vec<snowplow_syslang::ResourceId> = prog
+        let produced: Vec<ResourceId> = prog
             .calls
             .iter()
             .filter_map(|c| self.reg.syscall(c.def).ret)
@@ -602,19 +603,7 @@ impl<'r> Mutator<'r> {
             // Prefer a call that consumes one of those kinds.
             // Invariant: non-emptiness is checked in this branch's guard.
             let kind = *produced.choose(rng).expect("nonempty");
-            let consumers: Vec<SyscallId> = self
-                .reg
-                .syscall_ids()
-                .filter(|&id| {
-                    self.reg.enumerate_paths(id).iter().any(|(_, t)| {
-                        matches!(
-                            self.reg.ty(*t),
-                            Type::Resource { kind: k, dir } if *k == kind && dir.is_in()
-                        )
-                    })
-                })
-                .collect();
-            if let Some(&id) = consumers.choose(rng) {
+            if let Some(&id) = self.reg.consumers_of(kind).choose(rng) {
                 return id;
             }
         }
@@ -659,9 +648,6 @@ fn mask(bits: u8) -> u64 {
         (1u64 << bits) - 1
     }
 }
-
-/// Ignore the `Dir` import lint helper: direction checks are used above.
-const _: fn(Dir) -> bool = Dir::is_in;
 
 #[cfg(test)]
 mod tests {

@@ -165,7 +165,7 @@ impl<'a> Parser<'a> {
             .syscall_by_name(name)
             .ok_or_else(|| self.err(format!("unknown syscall {name}")))?;
         self.expect('(')?;
-        let fields = self.reg.syscall(def).args.clone();
+        let fields = &self.reg.syscall(def).args;
         let mut args = Vec::with_capacity(fields.len());
         for (i, field) in fields.iter().enumerate() {
             if i > 0 {
@@ -183,7 +183,7 @@ impl<'a> Parser<'a> {
 
     fn parse_arg(&mut self, ty: TypeId) -> Result<Arg, ParseError> {
         self.skip_ws();
-        match self.reg.ty(ty).clone() {
+        match self.reg.ty(ty) {
             Type::Int { .. } | Type::Flags { .. } | Type::Const { .. } | Type::Len { .. } => {
                 Ok(Arg::int(self.number()?))
             }
@@ -197,7 +197,7 @@ impl<'a> Parser<'a> {
                 let addr = self.number()?;
                 self.expect(')')?;
                 self.expect('=')?;
-                let inner = self.parse_arg(elem)?;
+                let inner = self.parse_arg(*elem)?;
                 Ok(Arg::ptr(addr, inner))
             }
             Type::Buffer { .. } => {
@@ -239,7 +239,7 @@ impl<'a> Parser<'a> {
                 self.skip_ws();
                 if self.peek() != Some(']') {
                     loop {
-                        inner.push(self.parse_arg(elem)?);
+                        inner.push(self.parse_arg(*elem)?);
                         self.skip_ws();
                         if self.peek() == Some(',') {
                             self.bump();

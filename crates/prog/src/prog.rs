@@ -1,6 +1,6 @@
 //! Programs and calls.
 
-use snowplow_syslang::{ArgPath, Registry, SyscallId, Type};
+use snowplow_syslang::{ArgPath, Field, Registry, SyscallId, Type};
 
 use crate::arg::{Arg, ArgView};
 
@@ -109,30 +109,26 @@ impl Prog {
     /// Must be called after any structural mutation; all generators and
     /// mutators in this crate do so.
     pub fn finalize(&mut self, reg: &Registry) {
-        for call in &mut self.calls {
-            let def = reg.syscall(call.def);
-            // Top-level length fields read sibling top-level args.
-            let lens: Vec<(usize, usize)> = def
-                .args
-                .iter()
-                .enumerate()
-                .filter_map(|(i, f)| match reg.ty(f.ty) {
-                    Type::Len { target, .. } => Some((i, *target)),
-                    _ => None,
-                })
-                .collect();
-            for (i, target) in lens {
-                let v = call.args.get(target).map_or(0, Arg::payload_len);
-                if let Some(Arg::Int { value }) = call.args.get_mut(i) {
-                    *value = v;
-                }
-            }
-            // Nested length fields inside structs.
-            for (ai, field) in def.args.iter().enumerate() {
-                if let Some(arg) = call.args.get_mut(ai) {
-                    finalize_rec(reg, field.ty, arg);
-                }
-            }
+        for ci in 0..self.calls.len() {
+            self.finalize_call(reg, ci);
+        }
+    }
+
+    /// Recomputes the `Len` fields of call `ci` alone. A length field only
+    /// reads a sibling inside its own call, so after rewriting values of
+    /// one call of an already finalized program this restores the same
+    /// state as a full [`Prog::finalize`].
+    ///
+    /// # Panics
+    /// Panics if `ci` is out of range.
+    pub fn finalize_call(&mut self, reg: &Registry, ci: usize) {
+        let call = &mut self.calls[ci];
+        let def = reg.syscall(call.def);
+        // Top-level length fields read sibling top-level args.
+        set_lens(reg, &def.args, &mut call.args);
+        // Nested length fields inside structs.
+        for (field, arg) in def.args.iter().zip(&mut call.args) {
+            finalize_rec(reg, field.ty, arg);
         }
     }
 
@@ -147,30 +143,28 @@ impl Prog {
     }
 }
 
+/// Sets every `Len` field among `fields` to its target sibling's payload
+/// length.
+fn set_lens(reg: &Registry, fields: &[Field], values: &mut [Arg]) {
+    for (i, f) in fields.iter().enumerate() {
+        if let Type::Len { target, .. } = reg.ty(f.ty) {
+            let v = values.get(*target).map_or(0, Arg::payload_len);
+            if let Some(Arg::Int { value }) = values.get_mut(i) {
+                *value = v;
+            }
+        }
+    }
+}
+
 fn finalize_rec(reg: &Registry, ty: snowplow_syslang::TypeId, arg: &mut Arg) {
     match (reg.ty(ty), arg) {
         (Type::Ptr { elem, .. }, Arg::Ptr { inner: Some(a), .. }) => {
             finalize_rec(reg, *elem, a);
         }
         (Type::Struct { fields, .. }, Arg::Group { inner }) => {
-            let lens: Vec<(usize, usize)> = fields
-                .iter()
-                .enumerate()
-                .filter_map(|(i, f)| match reg.ty(f.ty) {
-                    Type::Len { target, .. } => Some((i, *target)),
-                    _ => None,
-                })
-                .collect();
-            for (i, target) in lens {
-                let v = inner.get(target).map_or(0, Arg::payload_len);
-                if let Some(Arg::Int { value }) = inner.get_mut(i) {
-                    *value = v;
-                }
-            }
-            for (i, f) in fields.iter().enumerate() {
-                if let Some(a) = inner.get_mut(i) {
-                    finalize_rec(reg, f.ty, a);
-                }
+            set_lens(reg, fields, inner);
+            for (f, a) in fields.iter().zip(inner) {
+                finalize_rec(reg, f.ty, a);
             }
         }
         (Type::Array { elem, .. }, Arg::Group { inner }) => {

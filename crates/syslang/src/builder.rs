@@ -191,8 +191,28 @@ impl RegistryBuilder {
         id
     }
 
-    /// Finalizes the registry.
-    pub fn build(self) -> Registry {
+    /// Finalizes the registry, deriving the per-resource producer and
+    /// consumer indexes in one pass over the syscalls (in id order, so
+    /// every list is sorted by [`SyscallId`]).
+    pub fn build(mut self) -> Registry {
+        let kinds = self.reg.resources.len();
+        let mut producers = vec![Vec::new(); kinds];
+        let mut consumers: Vec<Vec<SyscallId>> = vec![Vec::new(); kinds];
+        for id in self.reg.syscall_ids() {
+            if let Some(kind) = self.reg.syscall(id).ret {
+                producers[kind.index()].push(id);
+            }
+            for (_, ty) in self.reg.enumerate_paths(id) {
+                if let Type::Resource { kind, dir } = self.reg.ty(ty) {
+                    let list = &mut consumers[kind.index()];
+                    if dir.is_in() && list.last() != Some(&id) {
+                        list.push(id);
+                    }
+                }
+            }
+        }
+        self.reg.producers = producers;
+        self.reg.consumers = consumers;
         self.reg
     }
 }

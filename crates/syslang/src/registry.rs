@@ -70,6 +70,12 @@ pub struct Registry {
     pub(crate) syscalls: Vec<SyscallDef>,
     pub(crate) resources: Vec<ResourceDef>,
     pub(crate) by_name: HashMap<&'static str, SyscallId>,
+    /// Per resource kind, the syscalls whose return value produces it, in
+    /// syscall-id order. Derived by [`RegistryBuilder::build`](crate::RegistryBuilder::build).
+    pub(crate) producers: Vec<Vec<SyscallId>>,
+    /// Per resource kind, the syscalls with an `in` resource argument of
+    /// that kind anywhere in their description tree, in syscall-id order.
+    pub(crate) consumers: Vec<Vec<SyscallId>>,
 }
 
 impl Registry {
@@ -119,11 +125,17 @@ impl Registry {
         self.by_name.get(name).copied()
     }
 
-    /// All syscall variants that produce resource `kind`.
-    pub fn producers_of(&self, kind: ResourceId) -> Vec<SyscallId> {
-        self.syscall_ids()
-            .filter(|&id| self.syscall(id).ret == Some(kind))
-            .collect()
+    /// All syscall variants that produce resource `kind`, in syscall-id
+    /// order.
+    pub fn producers_of(&self, kind: ResourceId) -> &[SyscallId] {
+        self.producers.get(kind.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// All syscall variants that consume resource `kind` (an `in`
+    /// resource argument of that kind at any depth of the description),
+    /// in syscall-id order.
+    pub fn consumers_of(&self, kind: ResourceId) -> &[SyscallId] {
+        self.consumers.get(kind.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Resolves a description-level path to the type it names.
@@ -258,7 +270,63 @@ mod tests {
         let open = reg.syscall_by_name("open").unwrap();
         assert_eq!(reg.syscall(open).name, "open");
         let fd = ResourceId(0);
-        assert_eq!(reg.producers_of(fd), vec![open]);
+        assert_eq!(reg.producers_of(fd), [open]);
+        let read = reg.syscall_by_name("read").unwrap();
+        assert_eq!(reg.consumers_of(fd), [read]);
+        assert!(reg.producers_of(ResourceId(7)).is_empty());
+    }
+
+    /// `tiny` plus a call whose nested struct holds an `in` and an `out`
+    /// resource: only the `in` one makes the call a consumer.
+    fn nested_resources() -> Registry {
+        let mut b = RegistryBuilder::new();
+        let fd = b.resource("fd", &[u64::MAX]);
+        let sock = b.resource("sock", &[u64::MAX]);
+        let fd_in = b.res_in(fd);
+        let sock_out = b.intern(Type::Resource {
+            kind: sock,
+            dir: Dir::Out,
+        });
+        let pair = b.strukt(
+            "pair",
+            vec![Field::new("fd", fd_in), Field::out("sock", sock_out)],
+        );
+        let pair_ptr = b.ptr_in(pair);
+        b.syscall("open", "open", &[], Some(fd));
+        b.syscall("accept", "accept", &[Field::new("p", pair_ptr)], Some(sock));
+        b.build()
+    }
+
+    /// The derived indexes equal a brute-force scan of every syscall's
+    /// description paths (consumers) and return kinds (producers).
+    #[test]
+    fn resource_indexes_match_brute_force_scan() {
+        let nested = nested_resources();
+        let accept = nested.syscall_by_name("accept").unwrap();
+        assert_eq!(nested.consumers_of(ResourceId(0)), [accept]);
+        assert!(nested.consumers_of(ResourceId(1)).is_empty());
+        for reg in [tiny(), nested, crate::builtin::linux_sim()] {
+            for k in 0..reg.resource_count() as u32 {
+                let kind = ResourceId(k);
+                let producers: Vec<SyscallId> = reg
+                    .syscall_ids()
+                    .filter(|&id| reg.syscall(id).ret == Some(kind))
+                    .collect();
+                let consumers: Vec<SyscallId> = reg
+                    .syscall_ids()
+                    .filter(|&id| {
+                        reg.enumerate_paths(id).iter().any(|(_, t)| {
+                            matches!(
+                                reg.ty(*t),
+                                Type::Resource { kind: c, dir } if *c == kind && dir.is_in()
+                            )
+                        })
+                    })
+                    .collect();
+                assert_eq!(reg.producers_of(kind), producers, "producers of {k}");
+                assert_eq!(reg.consumers_of(kind), consumers, "consumers of {k}");
+            }
+        }
     }
 
     #[test]

@@ -40,12 +40,16 @@
 #                      per-call finalize against their references), the
 #                      pinned campaign report and telemetry hashes, and a
 #                      compile check of the microbenches.
-#   ./ci.sh inference  the focused inference gate: tiled-GEMM and
-#                      parallel-matmul kernel-equality tests (bit
-#                      identity at workers 1/2/8), the f16 quantization
-#                      tolerance golden, the replica-serving tests, and
-#                      a compile check of the gemm_tiled /
-#                      predict_replicas microbenches.
+#   ./ci.sh inference  the focused inference gate: lints on
+#                      snowplow-pmm, tiled-GEMM and parallel-matmul
+#                      kernel-equality tests (bit identity at workers
+#                      1/2/8), the f16 quantization tolerance golden, the
+#                      replica-serving tests (continuous batching,
+#                      admission control, fairness), the service-backed
+#                      fleet goldens (resume and shared-corpus reports
+#                      bit-identical through the shared service), and a
+#                      compile check of the gemm_tiled / predict_replicas
+#                      microbenches.
 #   ./ci.sh bench      the full gate, then the bench-regression guard:
 #                      regenerates BENCH_perf.jsonl with perf_sec55
 #                      (which flushes every measurement through the
@@ -122,16 +126,20 @@ if [[ "${1:-}" == "mutate" ]]; then
 fi
 
 if [[ "${1:-}" == "inference" ]]; then
+    cargo clippy -p snowplow-pmm --all-targets -- -D warnings
     # Kernel equality: the tiled/packed GEMM paths against the naive
     # reference, and row-sharded parallel matmul bit-identical to serial.
     cargo test -q -p snowplow-mlcore --lib -- matrix:: quant::
     # Model layer: parallel predict_batch bit-identity + f16/int8
-    # freezing semantics; replica serving (batch formation, weighted
+    # freezing semantics; replica serving (continuous batching, weighted
     # fairness, admission control).
     cargo test -q -p snowplow-pmm --lib -- \
         parallel_predict_batch_is_bit_identical_to_serial \
         quantize_none_is_a_noop_and_f16_stays_close \
         server::
+    # Fleets served by one shared service: reports stay bit-identical
+    # whatever batches the replicas form.
+    cargo test -q -p snowplow-fleet --test resume_golden --test shared_corpus
     # The §5.4 quantization-tolerance golden (trains a quick model).
     cargo test -q -p snowplow-core --lib \
         f16_quantized_eval_matches_f32_within_tolerance

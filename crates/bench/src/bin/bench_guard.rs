@@ -54,10 +54,15 @@ const GUARDED: &[&str] = &[
 /// ratio (weighted kept / first-fit kept at equal coverage) is a
 /// correctness-adjacent invariant like the compiled-executor floor: a
 /// weighted minimizer that keeps *more* entries than the scan it
-/// replaced has lost its purpose, whatever the baseline file says.
+/// replaced has lost its purpose, whatever the baseline file says. The
+/// closed-loop queue wait is the same kind of invariant: a lone query
+/// is never held for stragglers, so it waits only for its replica to
+/// wake (tens of µs) — holding it for a second request that a blocking
+/// client cannot send would add a forward pass's worth or more.
 const GUARDED_CEILING_ABS: &[(&str, f64)] = &[
     ("fleet.resume_overhead_pct", 15.0),
     ("corpus.minset_ratio", 1.0),
+    ("inference_service_closed_loop.queue_wait_us", 100.0),
 ];
 
 /// Absolute floors, independent of the baseline file. These encode

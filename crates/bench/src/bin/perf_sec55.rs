@@ -270,6 +270,34 @@ fn main() {
     bench.gauge("inference_service.mean_batch", stats.mean_batch());
     drop(service);
 
+    // ---- Closed-loop client: how a campaign actually calls. -------------
+    // Every fleet drives the service the way `ServiceClient` does: one
+    // thread submits a query and blocks on it, so there is never a
+    // second request to batch with. Whatever a lone query waits beyond
+    // its forward pass is pure serving overhead; `bench_guard` holds it
+    // under an absolute ceiling.
+    let closed = InferenceService::start(&model, 1);
+    let start = Instant::now();
+    for i in 0..n_queries {
+        closed
+            .predict_blocking_tagged(graphs[i % graphs.len()].clone(), 1)
+            .expect("the service answers every well-formed query");
+    }
+    let wall = start.elapsed();
+    let cstats = closed.stats();
+    let us_per_query = wall.as_secs_f64() * 1e6 / n_queries as f64;
+    let queue_wait_us =
+        cstats.latency.saturating_sub(cstats.busy).as_secs_f64() * 1e6 / n_queries as f64;
+    println!("\n== §5.5 inference service, closed-loop client (1 replica) ==");
+    println!(
+        "{us_per_query:.0} µs per query | queue wait {queue_wait_us:.1} µs | forward {:.0} µs | mean batch {:.2}",
+        cstats.busy.as_secs_f64() * 1e6 / n_queries as f64,
+        cstats.mean_batch()
+    );
+    bench.gauge("inference_service_closed_loop.us_per_query", us_per_query);
+    bench.gauge("inference_service_closed_loop.queue_wait_us", queue_wait_us);
+    drop(closed);
+
     // ---- Same saturation load against a bounded queue. -----------------
     // The unbounded run above front-loads all 600 submissions, so queue
     // wait dominates client latency. Capping the queue applies
@@ -337,18 +365,12 @@ fn main() {
     // ---- Bursty load: the partial-batch drain path. ---------------------
     // The saturation runs above front-load every submission, so every
     // forward pass fills to max_batch exactly — a batch-formation bench
-    // that never exercises the linger. Here arrivals come in bursts of
-    // varying size with idle gaps in between, the shape a fuzzing loop
-    // actually produces: the worker must run partial batches when the
-    // linger expires instead of stalling for a full one.
-    let bursty = InferenceService::start_with_policy(
-        &model,
-        workers,
-        BatchPolicy {
-            linger: Duration::from_micros(200),
-            ..BatchPolicy::default()
-        },
-    );
+    // that never exercises a partial drain. Here arrivals come in bursts
+    // of varying size with idle gaps in between: a worker wakes on the
+    // first request of a burst, drains whatever of it has queued by then
+    // and runs that partial batch at once; the rest of the burst forms
+    // the next batch while the forward pass runs.
+    let bursty = InferenceService::start(&model, workers);
     let mut burst_rng = StdRng::seed_from_u64(21);
     let mut submitted = 0usize;
     let start = Instant::now();
@@ -362,8 +384,8 @@ fn main() {
             })
             .collect();
         submitted += burst;
-        // The gap between bursts: long enough for the linger to expire
-        // and the queue to drain, so the next burst starts cold.
+        // The gap between bursts: the queue drains completely, so the
+        // next burst starts cold.
         for p in pendings {
             let _ = p.recv();
         }

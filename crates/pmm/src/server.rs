@@ -7,11 +7,15 @@
 //! localization is pending, exactly as §3.4 prescribes. The service
 //! tracks latency and throughput for the §5.5 measurements.
 //!
-//! Like torchserve, workers coalesce queued requests into one packed
-//! forward pass ([`Pmm::predict_batch`]): a worker drains up to
-//! [`BatchPolicy::max_batch`] requests, lingering briefly for stragglers
-//! once it holds at least one. Batching changes throughput and latency
-//! only — scores are bit-identical to serving each query alone.
+//! Workers coalesce queued requests into one packed forward pass
+//! ([`Pmm::predict_batch`]) by *continuous batching*: a worker blocks
+//! for its first request, takes whatever else is already queued (up to
+//! [`BatchPolicy::max_batch`]) and runs at once. It never waits for
+//! stragglers — a closed-loop client cannot send its next query before
+//! this one is answered — yet under load the requests that queue during
+//! one forward pass form the next batch. Batching changes throughput
+//! and latency only — scores are bit-identical to serving each query
+//! alone.
 //!
 //! The service runs as **independent replicas** (the paper deploys PMM
 //! replicas across 8 GPUs): each worker thread owns its own model copy
@@ -181,11 +185,10 @@ struct SharedQueue {
 /// How workers coalesce queued requests into batches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPolicy {
-    /// Largest batch a worker packs into one forward pass.
+    /// Largest batch a worker packs into one forward pass. A worker
+    /// never waits to fill it: it serves whatever is queued when it
+    /// picks up its first request.
     pub max_batch: usize,
-    /// How long a worker holding at least one request waits for more
-    /// before running the batch.
-    pub linger: Duration,
     /// Optional bound on the number of queued (not yet drained)
     /// requests. `None` reproduces torchserve's unbounded queue: under
     /// saturation, queue wait dominates client-observed latency (the
@@ -208,7 +211,6 @@ impl Default for BatchPolicy {
     fn default() -> Self {
         BatchPolicy {
             max_batch: 8,
-            linger: Duration::from_micros(500),
             queue_cap: None,
             admit_depth: None,
         }
@@ -343,12 +345,15 @@ impl InferenceService {
                 let inflight = Arc::clone(&inflight);
                 let telemetry = telemetry.clone();
                 std::thread::spawn(move || loop {
-                    // Block for the first request; exit only once the
-                    // queue is both closed and fully drained, so every
-                    // accepted request gets an answer.
-                    let first = {
+                    // Continuous batching: block for the first request,
+                    // then take whatever else is already queued (up to
+                    // `max_batch`, weighted round-robin across tags)
+                    // under the same lock and run at once. Exit only
+                    // once the queue is both closed and fully drained,
+                    // so every accepted request gets an answer.
+                    let requests = {
                         let mut q = lock_ignore_poison(&queue.q);
-                        loop {
+                        let first = loop {
                             if let Some(r) = q.pop_rr() {
                                 break r;
                             }
@@ -356,37 +361,17 @@ impl InferenceService {
                                 return;
                             }
                             q = queue.work.wait(q).unwrap_or_else(|e| e.into_inner());
-                        }
+                        };
+                        let mut requests = Vec::with_capacity(max_batch);
+                        requests.push(first);
+                        requests.extend(std::iter::from_fn(|| q.pop_rr()).take(max_batch - 1));
+                        requests
                     };
-                    inflight.fetch_sub(1, Ordering::Relaxed);
+                    // The drained slots free up before the (slow)
+                    // forward pass, so blocked submitters make progress
+                    // meanwhile.
+                    inflight.fetch_sub(requests.len(), Ordering::Relaxed);
                     queue.room.notify_all();
-                    let mut requests = Vec::with_capacity(max_batch);
-                    requests.push(first);
-                    // Drain-up-to-B with a short linger: collect
-                    // whatever is already queued (weighted round-robin
-                    // across tags), and once we hold a request give
-                    // stragglers `linger` to arrive. Each pop frees a
-                    // queue slot before the (slow) forward pass so
-                    // blocked submitters make progress meanwhile.
-                    if max_batch > 1 {
-                        let deadline = Instant::now() + policy.linger;
-                        while requests.len() < max_batch {
-                            let popped = lock_ignore_poison(&queue.q).pop_rr();
-                            match popped {
-                                Some(r) => {
-                                    inflight.fetch_sub(1, Ordering::Relaxed);
-                                    queue.room.notify_all();
-                                    requests.push(r);
-                                }
-                                None => {
-                                    if Instant::now() >= deadline {
-                                        break;
-                                    }
-                                    std::thread::yield_now();
-                                }
-                            }
-                        }
-                    }
 
                     let mut graphs = Vec::with_capacity(requests.len());
                     let mut replies = Vec::with_capacity(requests.len());
@@ -495,16 +480,20 @@ impl InferenceService {
         Self::validate(&graph).inspect_err(|_| {
             self.telemetry.counter("serve.rejected.malformed", 1);
         })?;
-        // Admission control: shed load past the in-flight limit before
-        // touching any queue lock. Blocking submits are shed too —
-        // bounded latency is the contract, not eventual admission.
-        if let Some(limit) = self.admit_depth {
-            let limit = limit.max(1);
-            let depth = self.inflight.load(Ordering::Relaxed);
-            if depth >= limit {
-                self.telemetry.counter("serve.rejected.overloaded", 1);
-                return Err(ServeError::Overloaded { depth, limit });
-            }
+        // Admission control: reserve an in-flight slot before touching
+        // any queue lock, atomically, so racing submitters cannot all
+        // pass at `limit - 1`. Past the limit the submit is shed;
+        // blocking submits are shed too — bounded latency is the
+        // contract, not eventual admission.
+        let limit = self.admit_depth.map_or(usize::MAX, |l| l.max(1));
+        if let Err(depth) = self
+            .inflight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
+                (d < limit).then_some(d + 1)
+            })
+        {
+            self.telemetry.counter("serve.rejected.overloaded", 1);
+            return Err(ServeError::Overloaded { depth, limit });
         }
         // Spread load round-robin; each replica forms batches from its
         // own queue, so there is no shared lock to convoy on.
@@ -512,26 +501,26 @@ impl InferenceService {
             &self.replicas[self.next_replica.fetch_add(1, Ordering::Relaxed) % self.replicas.len()];
         let (respond, rx) = channel::bounded(1);
         {
+            let cap = self.queue_cap.map(|c| c.max(1));
             let mut q = lock_ignore_poison(&queue.q);
-            if q.closed {
-                return Err(ServeError::ShuttingDown);
+            while block && cap.is_some_and(|c| q.depth >= c) && !q.closed {
+                q = queue.room.wait(q).unwrap_or_else(|e| e.into_inner());
             }
-            if let Some(cap) = self.queue_cap {
-                let cap = cap.max(1);
-                if block {
-                    while q.depth >= cap && !q.closed {
-                        q = queue.room.wait(q).unwrap_or_else(|e| e.into_inner());
-                    }
-                    if q.closed {
-                        return Err(ServeError::ShuttingDown);
-                    }
-                } else if q.depth >= cap {
+            let refused = if q.closed {
+                Some(ServeError::ShuttingDown)
+            } else {
+                cap.filter(|&c| q.depth >= c).map(|cap| {
                     self.telemetry.counter("serve.rejected.queue_full", 1);
-                    return Err(ServeError::QueueFull {
+                    ServeError::QueueFull {
                         depth: q.depth,
                         cap,
-                    });
-                }
+                    }
+                })
+            };
+            if let Some(e) = refused {
+                // The request never reached a queue: hand its slot back.
+                self.inflight.fetch_sub(1, Ordering::Relaxed);
+                return Err(e);
             }
             q.push(Request {
                 graph,
@@ -539,7 +528,6 @@ impl InferenceService {
                 enqueued: Instant::now(),
                 tag,
             });
-            self.inflight.fetch_add(1, Ordering::Relaxed);
             let mut st = self.state.lock();
             st.stats.max_queue_depth = st.stats.max_queue_depth.max(q.depth as u64);
         }
@@ -758,7 +746,6 @@ mod tests {
             1,
             BatchPolicy {
                 max_batch: 8,
-                linger: Duration::from_millis(5),
                 queue_cap: None,
                 admit_depth: None,
             },
@@ -800,7 +787,6 @@ mod tests {
             1,
             BatchPolicy {
                 max_batch: 1,
-                linger: Duration::ZERO,
                 queue_cap: None,
                 admit_depth: None,
             },
@@ -837,7 +823,6 @@ mod tests {
             1,
             BatchPolicy {
                 max_batch: 2,
-                linger: Duration::ZERO,
                 queue_cap: Some(3),
                 admit_depth: None,
             },
@@ -884,7 +869,6 @@ mod tests {
             1,
             BatchPolicy {
                 max_batch: 1,
-                linger: Duration::ZERO,
                 queue_cap: None,
                 admit_depth: None,
             },
@@ -1038,6 +1022,160 @@ mod tests {
         assert!(service.submit(graph_for(99, &kernel)).is_ok());
     }
 
+    /// Eight threads released together race 200 `submit`s each at
+    /// `service`, checking every shed against `limit`; returns the
+    /// admitted requests.
+    fn race_submits(service: &InferenceService, graph: &QueryGraph, limit: usize) -> Vec<Pending> {
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        let mut admitted = Vec::new();
+                        for _ in 0..200 {
+                            match service.submit(graph.clone()) {
+                                Ok(p) => admitted.push(p),
+                                Err(ServeError::Overloaded { depth, limit: l }) => {
+                                    assert_eq!(l, limit);
+                                    assert!(depth >= l, "shed at depth {depth} below limit {l}");
+                                }
+                                Err(e) => panic!("unexpected serve error: {e}"),
+                            }
+                        }
+                        admitted
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        })
+    }
+
+    #[test]
+    fn admission_limit_holds_under_concurrent_submitters() {
+        let kernel = Kernel::build(KernelVersion::V6_8);
+        let model = Pmm::new(
+            PmmConfig {
+                dim: 16,
+                rounds: 1,
+                ..PmmConfig::default()
+            },
+            kernel.registry().syscall_count(),
+        );
+        let g = graph_for(0, &kernel);
+        let limit = 2;
+        // A check-then-increment admission lets racing submitters all
+        // pass at `limit - 1`. With no worker draining, anything past
+        // `limit` admitted is that overshoot.
+        for _ in 0..20 {
+            let stalled = stalled_service(None, Some(limit), Telemetry::disabled());
+            assert_eq!(race_submits(&stalled, &g, limit).len(), limit);
+        }
+        // With a live replica draining, the queue never outgrows it.
+        let service = InferenceService::start_with_policy(
+            &model,
+            1,
+            BatchPolicy {
+                admit_depth: Some(limit),
+                ..BatchPolicy::default()
+            },
+        );
+        let admitted = race_submits(&service, &g, limit);
+        for p in &admitted {
+            p.recv().expect("admitted queries are answered");
+        }
+        let stats = service.stats();
+        assert_eq!(stats.served, admitted.len() as u64);
+        assert!(
+            stats.max_queue_depth <= limit as u64,
+            "queue depth {} overshot the admission limit {limit}",
+            stats.max_queue_depth
+        );
+    }
+
+    #[test]
+    fn continuous_batching_still_batches_under_load() {
+        let kernel = Kernel::build(KernelVersion::V6_8);
+        let mut model = Pmm::new(
+            PmmConfig {
+                dim: 24,
+                rounds: 2,
+                ..PmmConfig::default()
+            },
+            kernel.registry().syscall_count(),
+        );
+        let policy = BatchPolicy::default();
+        let service = InferenceService::start_with_policy(&model, 1, policy);
+        let graphs: Vec<QueryGraph> = (0..64).map(|i| graph_for(i, &kernel)).collect();
+        // Front-load every query: the ones that queue while a forward
+        // pass runs must form the next batch.
+        let pendings: Vec<Pending> = graphs
+            .clone()
+            .into_iter()
+            .map(|g| service.submit(g).expect("accepted"))
+            .collect();
+        for (g, p) in graphs.iter().zip(pendings) {
+            let served = p.recv().expect("worker answers");
+            assert_eq!(model.predict(g), served, "batching must not change scores");
+        }
+        let stats = service.stats();
+        assert_eq!(stats.served, 64);
+        assert!(
+            stats.batches < stats.served,
+            "no batch formed under load: {} batches for {} queries",
+            stats.batches,
+            stats.served
+        );
+        assert!(stats.mean_batch() <= policy.max_batch as f64);
+    }
+
+    #[test]
+    fn lone_client_is_not_held_for_stragglers() {
+        let kernel = Kernel::build(KernelVersion::V6_8);
+        // A small model on one-call programs keeps the forward pass
+        // to a few hundred µs, even unoptimized, so holding a lone
+        // query for stragglers for as long would trip the assertion.
+        let model = Pmm::new(
+            PmmConfig {
+                dim: 4,
+                rounds: 1,
+                ..PmmConfig::default()
+            },
+            kernel.registry().syscall_count(),
+        );
+        let service = InferenceService::start(&model, 1);
+        let graphs: Vec<QueryGraph> = (0..16)
+            .map(|seed| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let prog = Generator::new(kernel.registry()).generate(&mut rng, 1);
+                let exec = Vm::new(&kernel).execute(&prog);
+                let frontier = kernel.cfg().alternative_entries(&exec.coverage());
+                QueryGraph::build(&kernel, &prog, &exec, &frontier[..frontier.len().min(1)])
+            })
+            .filter(|g| InferenceService::validate(g).is_ok())
+            .collect();
+        assert!(!graphs.is_empty());
+        // A closed-loop client, the way `ServiceClient` drives the
+        // service: its next query only exists once this one is answered,
+        // so any wait for a second request is pure idle time.
+        for i in 0..200 {
+            service
+                .predict_blocking_tagged(graphs[i % graphs.len()].clone(), 1)
+                .expect("well-formed query");
+        }
+        let stats = service.stats();
+        assert_eq!(stats.served, 200);
+        let forward = stats.busy / 200;
+        let queue_wait = stats.latency.saturating_sub(stats.busy) / 200;
+        assert!(
+            queue_wait < forward,
+            "a lone query waited {queue_wait:?} in queue against a {forward:?} forward pass"
+        );
+    }
+
     #[test]
     fn replicas_form_batches_independently() {
         let kernel = Kernel::build(KernelVersion::V6_8);
@@ -1054,7 +1192,6 @@ mod tests {
             3,
             BatchPolicy {
                 max_batch: 4,
-                linger: Duration::from_millis(2),
                 ..BatchPolicy::default()
             },
         );
@@ -1170,6 +1307,21 @@ mod tests {
             telemetry.snapshot().counters["serve.rejected.queue_full"],
             1
         );
+    }
+
+    #[test]
+    fn refused_requests_hand_their_admission_slot_back() {
+        let kernel = Kernel::build(KernelVersion::V6_8);
+        let service = stalled_service(Some(1), Some(2), Telemetry::disabled());
+        let _a = service.submit(graph_for(0, &kernel)).expect("room");
+        // Every overflow is a full queue, not an exhausted admission
+        // budget: a request that never reached the queue holds no slot.
+        for seed in 1..4 {
+            assert!(matches!(
+                service.submit(graph_for(seed, &kernel)),
+                Err(ServeError::QueueFull { depth: 1, cap: 1 })
+            ));
+        }
     }
 
     #[test]

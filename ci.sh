@@ -17,10 +17,17 @@
 #                      mlcore) under Miri; skips with a notice when the
 #                      Miri component is not installed.
 #   ./ci.sh fleet      the focused orchestration gate: pedantic lints on
-#                      snowplow-fleet and the resume goldens (checkpoint
-#                      at virtual hour 12 + resume must be bit-identical
-#                      to the uninterrupted day at workers 1/2/8, and a
-#                      4-campaign fleet must share inference fairly).
+#                      snowplow-fleet and snowplow-fuzzer, the resume
+#                      goldens (checkpoint at virtual hour 12 + resume
+#                      must be bit-identical to the uninterrupted day at
+#                      workers 1/2/8, the shared-service arm must match
+#                      the owned model in report, telemetry and snapshot
+#                      bytes at 1/2/8 replicas and across checkpoints
+#                      taken while a prediction is in flight, and a
+#                      4-campaign fleet must share inference fairly),
+#                      and the campaign's deferred-prediction tests
+#                      (late tickets change nothing; dropped tickets
+#                      degrade to random localization).
 #   ./ci.sh corpus     the focused corpus gate: pedantic lints on
 #                      snowplow-corpus, its unit and property tests
 #                      (weighted minset preserves the union edge set at
@@ -45,7 +52,8 @@
 #                      kernel-equality tests (bit identity at workers
 #                      1/2/8), the f16 quantization tolerance golden, the
 #                      replica-serving tests (continuous batching,
-#                      admission control, fairness), the service-backed
+#                      admission control, fairness, non-blocking
+#                      ServiceClient::submit), the service-backed
 #                      fleet goldens (resume and shared-corpus reports
 #                      bit-identical through the shared service), and a
 #                      compile check of the gemm_tiled / predict_replicas
@@ -97,7 +105,9 @@ fi
 
 if [[ "${1:-}" == "fleet" ]]; then
     cargo clippy -p snowplow-fleet --all-targets -- -D warnings
+    cargo clippy -p snowplow-fuzzer --all-targets -- -D warnings
     cargo test -q -p snowplow-fleet
+    cargo test -q -p snowplow-fuzzer --lib campaign::
     exit 0
 fi
 
@@ -132,13 +142,15 @@ if [[ "${1:-}" == "inference" ]]; then
     cargo test -q -p snowplow-mlcore --lib -- matrix:: quant::
     # Model layer: parallel predict_batch bit-identity + f16/int8
     # freezing semantics; replica serving (continuous batching, weighted
-    # fairness, admission control).
+    # fairness, admission control, ServiceClient::submit returning a
+    # waiting ticket).
     cargo test -q -p snowplow-pmm --lib -- \
         parallel_predict_batch_is_bit_identical_to_serial \
         quantize_none_is_a_noop_and_f16_stays_close \
         server::
     # Fleets served by one shared service: reports stay bit-identical
-    # whatever batches the replicas form.
+    # whatever batches the replicas form and whenever the campaign
+    # resolves its tickets.
     cargo test -q -p snowplow-fleet --test resume_golden --test shared_corpus
     # The §5.4 quantization-tolerance golden (trains a quick model).
     cargo test -q -p snowplow-core --lib \

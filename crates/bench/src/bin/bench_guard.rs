@@ -10,7 +10,8 @@
 //! slower than the interpreter), the distance-scheduling throughput
 //! ratio, the static-analysis throughput (interval fixpoints and
 //! distance maps), the dataset-harvest scaling factor, the saturated
-//! inference-service throughput, and the direct batched-inference
+//! inference-service throughput, the 4-campaign shared-service fleet's
+//! execution rate, and the direct batched-inference
 //! speedup (held above an absolute floor of 1.0 — batching that loses
 //! to per-query inference defeats its purpose). Everything else in the
 //! file is informational — the latency gauges vary too much
@@ -42,6 +43,7 @@ const GUARDED: &[&str] = &[
     "analysis.static_distance_per_sec",
     "harvest.scaling",
     "fleet.fair_share_spread",
+    "fleet.shared_execs_per_sec",
 ];
 
 /// Absolute ceilings (lower is better), independent of the baseline

@@ -774,21 +774,32 @@ fn main() {
 
     // Four campaigns multiplexing one inference service: the fair-queue
     // admission must keep every campaign near its 25% share. Gated with
-    // a floor in bench_guard — a starved campaign fails CI.
+    // a floor in bench_guard — a starved campaign fails CI. The same run
+    // times the fleet loop end to end (`fleet.shared_execs_per_sec`,
+    // relative floor): each campaign fuzzes on while its query is on a
+    // replica, so a loop that blocks on every prediction again shows up
+    // here.
     let fleet_model = assert_clone(&model);
     let fleet_service = std::sync::Arc::new(snowplow_core::fleet::InferenceService::start(
         &fleet_model,
         2,
     ));
     let mut fleet = FleetScheduler::new(&kernel, std::sync::Arc::clone(&fleet_service));
-    for seed in 1u64..=4 {
-        let mut cfg = day_config(seed);
-        cfg.duration = Duration::from_secs(4 * 3600);
-        fleet.spawn_shared(cfg);
-    }
+    let fleet_ids: Vec<u32> = (1u64..=4)
+        .map(|seed| {
+            let mut cfg = day_config(seed);
+            cfg.duration = Duration::from_secs(4 * 3600);
+            fleet.spawn_shared(cfg)
+        })
+        .collect();
     let t = Instant::now();
     fleet.run_to_completion(Duration::from_secs(900));
     let fleet_wall = t.elapsed();
+    let fleet_execs: u64 = fleet_ids
+        .iter()
+        .map(|&id| fleet.report(id).expect("every campaign finished").execs)
+        .sum();
+    let fleet_rate = fleet_execs as f64 / fleet_wall.as_secs_f64();
     let agg = fleet.aggregate();
     let spread = agg
         .gauges
@@ -796,12 +807,13 @@ fn main() {
         .copied()
         .expect("shared campaigns queried the service");
     println!(
-        "4-campaign fleet over one service: {fleet_wall:?} wall | fair-share spread {spread:.3}"
+        "4-campaign fleet over one service: {fleet_wall:?} wall | {fleet_rate:.0} execs/s | fair-share spread {spread:.3}"
     );
     for (tag, served) in fleet_service.served_by_tag() {
         println!("  campaign tag {tag}: {served} queries served");
     }
     bench.gauge("fleet.fair_share_spread", spread);
+    bench.gauge("fleet.shared_execs_per_sec", fleet_rate);
 
     // ---- Corpus store: weighted minimization and dedup ingest. ----------
     // A synthetic 10k-entry corpus (every program admitted, exec cost

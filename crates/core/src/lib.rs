@@ -54,7 +54,7 @@ pub mod fuzzing {
 /// scheduling over a shared inference service (DESIGN.md §11).
 pub mod fleet {
     pub use snowplow_fleet::{fair_share_spread, CampaignSnapshot, FleetScheduler};
-    pub use snowplow_pmm::server::{InferenceClient, InferenceService, ServiceClient};
+    pub use snowplow_pmm::server::{InferenceClient, InferenceService, ServiceClient, Ticket};
 }
 
 /// One-stop imports for configuring the pipeline: every config type with

@@ -27,7 +27,7 @@
 use std::{fmt, io};
 
 use rand::rngs::StdRng;
-use snowplow_fuzzer::campaign::PendingPrediction;
+use snowplow_fuzzer::campaign::{PendingPrediction, Prediction};
 use snowplow_fuzzer::{
     CampaignConfig, CampaignState, CorpusEntry, CorpusHandle, CrashLog, CrashRecord, FuzzerKind,
     RunningCampaign, TimelinePoint, VirtualClock,
@@ -149,7 +149,7 @@ impl CampaignSnapshot {
         e.bytes(MAGIC);
         e.u32(VERSION);
         enc_config(&mut e, &self.config);
-        enc_state(&mut e, &self.state);
+        enc_state(&mut e, &self.state, &self.config);
         enc_metrics(&mut e, &self.metrics);
         e.into_bytes()
     }
@@ -232,7 +232,9 @@ fn dec_config(d: &mut Dec<'_>) -> io::Result<CampaignConfig> {
 
 // ---- State. ------------------------------------------------------------
 
-fn enc_state(e: &mut Enc, s: &CampaignState) {
+/// `config` is the campaign's: a cached prediction the campaign has not
+/// drawn on yet encodes its full [`CampaignConfig::guided_uses`] budget.
+fn enc_state(e: &mut Enc, s: &CampaignState, config: &CampaignConfig) {
     // RNG stream position (see `snowplow_pool::stream_position`): the
     // four xoshiro256++ state words, restored in O(1) without replaying
     // the stream.
@@ -298,18 +300,22 @@ fn enc_state(e: &mut Enc, s: &CampaignState) {
         e.u64(p.execs);
     }
 
+    // A captured state's predictions are all resolved
+    // ([`RunningCampaign::checkpoint`] settles them), so `wait` returns
+    // at once.
     e.usize(s.pending.len());
     for p in &s.pending {
         e.usize(p.base);
         e.duration(p.ready_at);
-        enc_locs(e, &p.locs);
+        enc_locs(e, p.prediction.wait());
     }
 
     e.usize(s.ready.len());
-    for (base, (locs, uses)) in &s.ready {
+    for (base, (prediction, uses)) in &s.ready {
+        let locs = prediction.wait();
         e.usize(*base);
         enc_locs(e, locs);
-        e.usize(*uses);
+        e.usize(uses.unwrap_or_else(|| config.guided_uses(locs.len())));
     }
 
     e.u64(s.execs);
@@ -409,7 +415,7 @@ fn dec_state(d: &mut Dec<'_>) -> io::Result<CampaignState> {
         pending.push_back(PendingPrediction {
             base: d.usize()?,
             ready_at: d.duration()?,
-            locs: dec_locs(d)?,
+            prediction: Prediction::resolved(dec_locs(d)?),
         });
     }
 
@@ -419,7 +425,7 @@ fn dec_state(d: &mut Dec<'_>) -> io::Result<CampaignState> {
         let base = d.usize()?;
         let locs = dec_locs(d)?;
         let uses = d.usize()?;
-        ready.insert(base, (locs, uses));
+        ready.insert(base, (Prediction::resolved(locs), Some(uses)));
     }
 
     let execs = d.u64()?;

@@ -127,35 +127,65 @@ fn shared_inference_resume_is_bit_identical() {
     assert_eq!(golden.1, resumed.1, "telemetry drifted after shared resume");
 }
 
-#[test]
-fn owned_and_shared_inference_agree() {
-    // The shared service serves the same deterministic model, so a
-    // campaign gets identical predictions through either path.
-    let owned = uninterrupted(
-        FuzzerKind::Snowplow {
-            model: Box::new(model()),
-        },
-        11,
-        2,
-    );
-    let service = Arc::new(InferenceService::start(&model(), 2));
-    let shared = uninterrupted(
-        FuzzerKind::SnowplowShared {
-            client: Box::new(ServiceClient::new(service, 1)),
-        },
-        11,
-        2,
-    );
-    assert_eq!(
-        owned.0, shared.0,
-        "owned vs shared inference reports differ"
-    );
+fn owned() -> FuzzerKind {
+    FuzzerKind::Snowplow {
+        model: Box::new(model()),
+    }
 }
 
 #[test]
-fn checkpoint_at_every_interval_is_unobservable() {
-    // Round-trip the campaign through bytes every k steps, for several
-    // k, and require the result to match the never-interrupted run.
+fn owned_and_shared_inference_agree() {
+    // The shared service serves the same deterministic model, so a
+    // campaign gets identical predictions through either path — however
+    // many replicas answer, and although the shared arm resolves each
+    // prediction only when it first reads it.
+    let owned = uninterrupted(owned(), 11, 2);
+    for replicas in [1usize, 2, 8] {
+        let service = Arc::new(InferenceService::start(&model(), replicas));
+        let shared = uninterrupted(
+            FuzzerKind::SnowplowShared {
+                client: Box::new(ServiceClient::new(service, 1)),
+            },
+            11,
+            2,
+        );
+        assert_eq!(
+            owned.0, shared.0,
+            "owned vs shared inference reports differ at {replicas} replicas"
+        );
+        assert_eq!(
+            owned.1, shared.1,
+            "owned vs shared inference telemetry differs at {replicas} replicas"
+        );
+    }
+}
+
+#[test]
+fn owned_and_shared_checkpoints_are_byte_identical() {
+    // A checkpoint settles the shared arm's prediction in flight, so at
+    // hour 12 both arms serialize the same state and metrics.
+    let capture = |kind: FuzzerKind| {
+        let (telemetry, _sink) = Telemetry::in_memory();
+        let cfg = day_config(11, 2, telemetry);
+        let mut running = Campaign::new(kernel(), kind, cfg).into_running();
+        while running.now() < Duration::from_secs(12 * 3600) && running.step() {}
+        CampaignSnapshot::capture(&running).to_bytes()
+    };
+    let service = Arc::new(InferenceService::start(&model(), 2));
+    let shared = capture(FuzzerKind::SnowplowShared {
+        client: Box::new(ServiceClient::new(service, 1)),
+    });
+    assert!(
+        capture(owned()) == shared,
+        "owned vs shared checkpoints differ at hour 12"
+    );
+}
+
+/// Round-trips a campaign through bytes every k steps, for several k,
+/// and requires the result to match the never-interrupted run. `kind`
+/// makes a fresh fuzzer for every (re)start. Returns the golden
+/// (report fingerprint, rendered telemetry).
+fn checkpoint_every_interval(kind: impl Fn() -> FuzzerKind) -> (String, String) {
     let short = |telemetry: Telemetry| {
         CampaignConfig::builder()
             .duration(Duration::from_secs(600))
@@ -167,14 +197,13 @@ fn checkpoint_at_every_interval_is_unobservable() {
     };
     let (telemetry, _sink) = Telemetry::in_memory();
     let golden = drain(
-        Campaign::new(kernel(), FuzzerKind::Syzkaller, short(telemetry.clone())).into_running(),
+        Campaign::new(kernel(), kind(), short(telemetry.clone())).into_running(),
         &telemetry,
     );
 
     for k in [1usize, 7, 25] {
         let (mut telemetry, _sink) = Telemetry::in_memory();
-        let mut running =
-            Campaign::new(kernel(), FuzzerKind::Syzkaller, short(telemetry.clone())).into_running();
+        let mut running = Campaign::new(kernel(), kind(), short(telemetry.clone())).into_running();
         loop {
             let mut stepped = true;
             for _ in 0..k {
@@ -187,7 +216,7 @@ fn checkpoint_at_every_interval_is_unobservable() {
             drop(running);
             let snap = CampaignSnapshot::from_bytes(&bytes).expect("snapshot decodes");
             let (t, _sink2) = Telemetry::in_memory();
-            running = snap.resume(kernel(), FuzzerKind::Syzkaller, t.clone());
+            running = snap.resume(kernel(), kind(), t.clone());
             telemetry = t;
             if !stepped {
                 break;
@@ -203,6 +232,26 @@ fn checkpoint_at_every_interval_is_unobservable() {
             "telemetry drifted at checkpoint interval {k}"
         );
     }
+    golden
+}
+
+#[test]
+fn checkpoint_at_every_interval_is_unobservable() {
+    checkpoint_every_interval(|| FuzzerKind::Syzkaller);
+}
+
+#[test]
+fn shared_checkpoint_at_every_interval_is_unobservable() {
+    // At k = 1 a checkpoint follows every submission, often while its
+    // ticket still waits on the service.
+    let service = Arc::new(InferenceService::start(&model(), 2));
+    let golden = checkpoint_every_interval(|| FuzzerKind::SnowplowShared {
+        client: Box::new(ServiceClient::new(Arc::clone(&service), 1)),
+    });
+    assert!(
+        golden.1.contains("predict.locations"),
+        "the model was queried"
+    );
 }
 
 #[test]

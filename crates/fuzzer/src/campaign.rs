@@ -9,10 +9,21 @@
 //! mutations on the predicted locations, scaling the number of mutations
 //! with the number of predicted arguments, §3.4). A small probability of
 //! random argument localization is kept as the paper's fallback.
+//!
+//! The asynchrony is real in wall time too: a query to a shared
+//! inference service returns a waiting [`Ticket`] (a [`Prediction`]
+//! slot), and the loop resolves it only when it first reads the
+//! locations — at the first guided use of the base, before its next
+//! submission (one ticket in flight at most), or when a checkpoint or
+//! the final report settles it. Waiting changes only when the loop
+//! runs, never what it computes, so reports, telemetry and checkpoints
+//! equal those of an owned, inline model.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+
+use parking_lot::Mutex;
 
 use rand::prelude::*;
 use snowplow_analysis::PrunedCfg;
@@ -20,7 +31,7 @@ use snowplow_corpus::{scheduler_for, CorpusConfig, CorpusHandle, ScheduleContext
 use snowplow_kernel::{BlockId, Coverage, EdgeSet, ExecResult, Kernel, Snapshot, Vm};
 use snowplow_pmm::graph::QueryGraph;
 use snowplow_pmm::model::Pmm;
-use snowplow_pmm::server::{InferenceClient, ServeError};
+use snowplow_pmm::server::{InferenceClient, ServeError, Ticket};
 use snowplow_pool::ExecConfig;
 use snowplow_prog::gen::Generator;
 use snowplow_prog::{ArgLoc, Mutator, Prog};
@@ -151,6 +162,14 @@ impl CampaignConfig {
         CampaignConfigBuilder {
             cfg: CampaignConfig::default(),
         }
+    }
+
+    /// §3.4's dynamic budget: the guided argument mutations a prediction
+    /// with `locations` ranked locations is used for before it expires.
+    pub fn guided_uses(&self, locations: usize) -> usize {
+        (locations * self.guided_use_multiplier)
+            .max(self.guided_use_multiplier)
+            .max(1)
     }
 }
 
@@ -303,6 +322,122 @@ pub struct CampaignReport {
     pub attribution: EdgeAttribution,
 }
 
+/// One PMM localization query, resolved at most once.
+///
+/// A query submitted to a shared service comes back as a waiting
+/// [`Ticket`]: the campaign keeps fuzzing while the forward pass runs
+/// and resolves the ticket — ranking its scores into locations — when
+/// it first reads them. The pending entry, the ready entry and the
+/// prediction memo share one slot (cloning shares it), so each forward
+/// pass is waited for and ranked once. Resolution only ever waits: it
+/// never changes what the campaign computes, only when the wall clock
+/// lets it.
+#[derive(Clone)]
+pub struct Prediction(Arc<PredictionSlot>);
+
+struct PredictionSlot {
+    /// The ranked locations once resolved; `None` inside when the
+    /// ticket was lost (its sender dropped before answering).
+    locs: OnceLock<Option<Vec<ArgLoc>>>,
+    /// The ticket and its ranking (threshold, top-k) until resolution
+    /// takes them.
+    waiting: Mutex<Option<(Ticket, f32, usize)>>,
+}
+
+/// What one [`Prediction::resolve`] call did.
+enum Resolution {
+    /// The ticket has not been answered yet (non-blocking calls only).
+    Waiting,
+    /// An earlier call resolved the prediction.
+    Settled,
+    /// This call ranked the scores into this many locations.
+    Ranked(usize),
+    /// This call found the ticket lost.
+    Lost,
+}
+
+impl Prediction {
+    /// A prediction whose locations are already known (e.g. decoded
+    /// from a snapshot).
+    pub fn resolved(locs: Vec<ArgLoc>) -> Prediction {
+        Prediction(Arc::new(PredictionSlot {
+            locs: OnceLock::from(Some(locs)),
+            waiting: Mutex::new(None),
+        }))
+    }
+
+    fn submitted(ticket: Ticket, threshold: f32, top_k: usize) -> Prediction {
+        Prediction(Arc::new(PredictionSlot {
+            locs: OnceLock::new(),
+            waiting: Mutex::new(Some((ticket, threshold, top_k))),
+        }))
+    }
+
+    /// The ranked locations, or `None` while the ticket is unanswered.
+    /// A lost ticket reads as no locations.
+    fn locations(&self) -> Option<&[ArgLoc]> {
+        self.0.locs.get().map(|l| l.as_deref().unwrap_or_default())
+    }
+
+    /// The ranked locations, blocking on the ticket if need be.
+    pub fn wait(&self) -> &[ArgLoc] {
+        self.resolve(true);
+        self.locations().unwrap_or_default()
+    }
+
+    /// Resolved to no locations (a lost ticket included).
+    fn is_empty(&self) -> bool {
+        self.locations().is_some_and(<[ArgLoc]>::is_empty)
+    }
+
+    fn is_lost(&self) -> bool {
+        matches!(self.0.locs.get(), Some(None))
+    }
+
+    fn resolve(&self, block: bool) -> Resolution {
+        if self.0.locs.get().is_some() {
+            return Resolution::Settled;
+        }
+        let mut waiting = self.0.waiting.lock();
+        // Resolution sets `locs` before it releases the lock, so an
+        // empty `waiting` means a racing call resolved the slot.
+        let Some((ticket, threshold, top_k)) = waiting.take() else {
+            return Resolution::Settled;
+        };
+        let scores = if block {
+            ticket.wait()
+        } else {
+            match ticket.try_wait() {
+                Ok(scores) => scores,
+                Err(ticket) => {
+                    *waiting = Some((ticket, threshold, top_k));
+                    return Resolution::Waiting;
+                }
+            }
+        };
+        let (locs, outcome) = match scores {
+            Ok(scores) => {
+                let locs = rank(&scores, threshold, top_k);
+                let n = locs.len();
+                (Some(locs), Resolution::Ranked(n))
+            }
+            Err(_) => (None, Resolution::Lost),
+        };
+        let _ = self.0.locs.set(locs);
+        outcome
+    }
+}
+
+impl std::fmt::Debug for Prediction {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0.locs.get() {
+            Some(Some(locs)) => f.debug_tuple("Prediction").field(locs).finish(),
+            Some(None) => f.write_str("Prediction(lost)"),
+            None => f.write_str("Prediction(waiting)"),
+        }
+    }
+}
+
 /// A PMM localization in flight: submitted at some virtual instant,
 /// applicable once the virtual inference latency has elapsed. Part of
 /// [`CampaignState`] so a checkpoint taken mid-inference resumes with
@@ -313,8 +448,8 @@ pub struct PendingPrediction {
     pub base: usize,
     /// Virtual instant the localization becomes applicable.
     pub ready_at: Duration,
-    /// The ranked predicted locations.
-    pub locs: Vec<ArgLoc>,
+    /// The predicted locations (resolved by every checkpoint).
+    pub prediction: Prediction,
 }
 
 /// Cached frontier state of one corpus entry (Snowplow hot loop).
@@ -401,8 +536,11 @@ pub struct CampaignState {
     pub timeline: Vec<TimelinePoint>,
     /// PMM queries in flight (ordered by submission).
     pub pending: VecDeque<PendingPrediction>,
-    /// Arrived localizations: base index → (locations, uses left).
-    pub ready: BTreeMap<usize, (Vec<ArgLoc>, usize)>,
+    /// Arrived localizations: base index → (prediction, uses left).
+    /// The uses are `None` until the base first draws on the
+    /// prediction; then they start at
+    /// [`CampaignConfig::guided_uses`] of its location count.
+    pub ready: BTreeMap<usize, (Prediction, Option<usize>)>,
     /// Executions so far.
     pub execs: u64,
     /// PMM queries answered so far.
@@ -445,7 +583,9 @@ pub struct RunningCampaign<'k> {
     sched_frontier: Vec<BlockId>,
     sched_dist: Vec<Option<u32>>,
     frontier_cache: HashMap<usize, EntryFrontier>,
-    pred_memo: HashMap<(usize, Vec<BlockId>), Vec<ArgLoc>>,
+    pred_memo: HashMap<(usize, Vec<BlockId>), Prediction>,
+    /// The one submitted query whose ticket is not resolved yet.
+    in_flight: Option<Prediction>,
     epoch: u64,
     blocks_at_epoch: usize,
     wanted_buf: Vec<BlockId>,
@@ -454,10 +594,15 @@ pub struct RunningCampaign<'k> {
 /// Top-K localization: everything above the threshold, padded to at
 /// least `top_k` by rank (the paper's PMM outputs a set whose size
 /// scales the mutation budget).
-fn rank(scored: Vec<(ArgLoc, f32)>, threshold: f32, top_k: usize) -> Vec<ArgLoc> {
+///
+/// The kept locations are copies: a served score list is allocated on a
+/// replica thread, and moving a few of its locations into a long-lived
+/// prediction would pin the list's scattered pages (measured: ~2.5 MiB
+/// more peak RSS on `fleet-4`), while copies free it whole.
+fn rank(scored: &[(ArgLoc, f32)], threshold: f32, top_k: usize) -> Vec<ArgLoc> {
     let above = scored.iter().filter(|(_, p)| *p >= threshold).count();
     let keep = above.max(top_k).min(scored.len());
-    scored.into_iter().take(keep).map(|(l, _)| l).collect()
+    scored[..keep].iter().map(|(l, _)| l.clone()).collect()
 }
 
 impl<'k> RunningCampaign<'k> {
@@ -563,6 +708,7 @@ impl<'k> RunningCampaign<'k> {
             sched_dist: Vec::new(),
             frontier_cache: HashMap::new(),
             pred_memo: HashMap::new(),
+            in_flight: None,
             epoch: 0,
             blocks_at_epoch,
             wanted_buf: Vec::new(),
@@ -588,7 +734,10 @@ impl<'k> RunningCampaign<'k> {
 
     /// A deep copy of the campaign's deterministic state, suitable for
     /// serializing and resuming later with [`RunningCampaign::restore`].
+    /// Settles the query in flight first, so every prediction in the
+    /// copy is resolved and the telemetry already records it.
     pub fn checkpoint(&self) -> CampaignState {
+        self.settle_in_flight();
         self.st.clone()
     }
 
@@ -625,6 +774,7 @@ impl<'k> RunningCampaign<'k> {
 
     /// Final timeline sample, summary gauges, and the report.
     pub fn finish(mut self) -> CampaignReport {
+        self.settle_in_flight();
         self.st.timeline.push(TimelinePoint {
             at: self.st.clock.now(),
             edges: self.st.edges.len(),
@@ -778,7 +928,19 @@ impl<'k> RunningCampaign<'k> {
             self.st.next_sample += self.config.sample_every;
         }
 
-        // Promote ready PMM localizations into the per-base cache.
+        // Rank an answered ticket now, freeing its scores; an unanswered
+        // one keeps the loop going.
+        if self
+            .in_flight
+            .as_ref()
+            .is_some_and(|p| self.settle(p, false))
+        {
+            self.in_flight = None;
+        }
+
+        // Promote ready PMM localizations into the per-base cache. The
+        // prediction may still be on its way; the base first waits for
+        // it when it draws a guided location.
         while self
             .st
             .pending
@@ -787,14 +949,8 @@ impl<'k> RunningCampaign<'k> {
         {
             // Invariant: the loop condition saw a front element.
             let p = self.st.pending.pop_front().expect("checked front");
-            if !p.locs.is_empty() {
-                // §3.4's dynamic budget: a base with more predicted
-                // arguments gets proportionally more argument mutations
-                // before the prediction expires.
-                let uses = (p.locs.len() * self.config.guided_use_multiplier)
-                    .max(self.config.guided_use_multiplier)
-                    .max(1);
-                self.st.ready.insert(p.base, (p.locs, uses));
+            if !p.prediction.is_empty() {
+                self.st.ready.insert(p.base, (p.prediction, None));
             }
         }
 
@@ -1065,26 +1221,44 @@ impl<'k> RunningCampaign<'k> {
         if self.pred_memo.len() >= PRED_MEMO_CAP {
             self.pred_memo.clear();
         }
-        let locs = match self.pred_memo.entry((base_idx, key)) {
-            std::collections::hash_map::Entry::Occupied(hit) => hit.get().clone(),
-            std::collections::hash_map::Entry::Vacant(slot) => {
+        let key = (base_idx, key);
+        // A hit is resolved: only the query in flight can be waiting,
+        // and its base holds a pending or ready entry, so it is never
+        // queried again while the ticket waits.
+        let hit = self.pred_memo.get(&key).filter(|p| !p.is_lost()).cloned();
+        let prediction = match hit {
+            Some(prediction) => prediction,
+            None => {
                 let entry = self.st.corpus.entry(base_idx);
                 let graph =
                     QueryGraph::build(self.kernel, &entry.prog, &entry.exec, &self.wanted_buf);
-                let locs = rank(
-                    model.predict(&graph)?,
+                // A campaign keeps at most one ticket in flight: the
+                // previous forward pass overlapped everything up to this
+                // graph build, and is waited for before the next submit.
+                if let Some(prev) = self.in_flight.take() {
+                    self.settle(&prev, true);
+                }
+                // With `top_k >= 1`, `rank` keeps at least one location
+                // whenever the graph has candidates, so emptiness is
+                // known now; only otherwise must the scores be waited
+                // for to tell.
+                let must_wait = self.config.top_k == 0 || graph.candidate_count() == 0;
+                let prediction = Prediction::submitted(
+                    model.submit(graph)?,
                     self.config.threshold,
                     self.config.top_k,
                 );
-                slot.insert(locs.clone());
-                locs
+                prediction.resolve(must_wait);
+                if prediction.is_lost() {
+                    return Err(ServeError::ShuttingDown);
+                }
+                self.pred_memo.insert(key, prediction.clone());
+                prediction
             }
         };
-        // `rank` keeps at least one location whenever the graph had
-        // candidates, so an empty set means the base has no mutable
-        // argument sites: the same condition the live service rejects as
-        // a malformed batch.
-        if locs.is_empty() {
+        // An empty set means the base has no mutable argument sites: the
+        // same condition the live service rejects as a malformed batch.
+        if prediction.is_empty() {
             return Err(ServeError::MalformedBatch {
                 reason: "query graph has no candidate mutation sites".to_owned(),
             });
@@ -1095,14 +1269,69 @@ impl<'k> RunningCampaign<'k> {
             Phase::Predict,
             self.config.inference_latency.as_micros() as u64,
         );
-        self.telemetry
-            .observe("predict.locations", locs.len() as u64);
+        match prediction.locations() {
+            Some(locs) => self
+                .telemetry
+                .observe("predict.locations", locs.len() as u64),
+            None => self.in_flight = Some(prediction.clone()),
+        }
         self.st.pending.push_back(PendingPrediction {
             base: base_idx,
             ready_at: self.st.clock.now() + self.config.inference_latency,
-            locs,
+            prediction,
         });
         Ok(())
+    }
+
+    /// Resolves `prediction`, blocking or not, and records a fresh
+    /// resolution: its location count (`predict.locations`, observed
+    /// once per submission), or a lost ticket
+    /// (`serve.degraded.shutdown`; the base falls back to the random
+    /// localizer). Returns whether the prediction is resolved.
+    fn settle(&self, prediction: &Prediction, block: bool) -> bool {
+        match prediction.resolve(block) {
+            Resolution::Waiting => false,
+            Resolution::Settled => true,
+            Resolution::Ranked(n) => {
+                self.telemetry.observe("predict.locations", n as u64);
+                true
+            }
+            Resolution::Lost => {
+                self.telemetry.counter("serve.degraded.shutdown", 1);
+                true
+            }
+        }
+    }
+
+    /// Waits for the query in flight, if any: checkpoints and the final
+    /// report see every prediction resolved and recorded.
+    fn settle_in_flight(&self) {
+        if let Some(prediction) = &self.in_flight {
+            self.settle(prediction, true);
+        }
+    }
+
+    /// A guided location for `base_idx` from its cached prediction,
+    /// drawing one use of the prediction's budget; `None` when the base
+    /// has no prediction (or its ticket was lost).
+    fn guided_location(&mut self, base_idx: usize) -> Option<ArgLoc> {
+        let prediction = self.st.ready.get(&base_idx)?.0.clone();
+        self.settle(&prediction, true);
+        let locs = prediction.locations().unwrap_or_default();
+        if locs.is_empty() {
+            self.st.ready.remove(&base_idx);
+            return None;
+        }
+        let loc = locs[self.st.rng.random_range(0..locs.len())].clone();
+        let budget = self.config.guided_uses(locs.len());
+        if let Some((_, uses)) = self.st.ready.get_mut(&base_idx) {
+            let left = uses.get_or_insert(budget);
+            *left = left.saturating_sub(1);
+            if *left == 0 {
+                self.st.ready.remove(&base_idx);
+            }
+        }
+        Some(loc)
     }
 
     fn snowplow_iteration(&mut self, model: &mut dyn InferenceClient, base_idx: usize) {
@@ -1138,17 +1367,7 @@ impl<'k> RunningCampaign<'k> {
         };
         match m_type {
             snowplow_prog::MutationType::ArgumentMutation => {
-                let guided = match self.st.ready.get_mut(&base_idx) {
-                    Some((locs, uses)) => {
-                        let loc = locs[self.st.rng.random_range(0..locs.len())].clone();
-                        *uses -= 1;
-                        if *uses == 0 {
-                            self.st.ready.remove(&base_idx);
-                        }
-                        Some(loc)
-                    }
-                    None => None,
-                };
+                let guided = self.guided_location(base_idx);
                 let (mutant, applied) = {
                     let base = &self.st.corpus.entry(base_idx).prog;
                     match &guided {
@@ -1348,6 +1567,129 @@ mod tests {
         .run();
         assert!(report.inferences > 10, "inferences {}", report.inferences);
         assert!(report.final_edges > 500);
+    }
+
+    /// A client whose tickets a helper thread answers — or, with
+    /// `answer` off, drops unanswered — about a millisecond after
+    /// submission, so the campaign meets them still waiting.
+    struct DelayedClient {
+        jobs: std::sync::mpsc::Sender<Job>,
+    }
+
+    type Job = (QueryGraph, crossbeam::channel::Sender<Vec<(ArgLoc, f32)>>);
+
+    impl DelayedClient {
+        fn spawn(mut model: Pmm, answer: bool) -> DelayedClient {
+            let (jobs, queue) = std::sync::mpsc::channel::<Job>();
+            std::thread::spawn(move || {
+                for (graph, respond) in queue {
+                    std::thread::sleep(Duration::from_millis(1));
+                    if answer {
+                        let _ = respond.send(model.predict(&graph));
+                    }
+                }
+            });
+            DelayedClient { jobs }
+        }
+    }
+
+    impl InferenceClient for DelayedClient {
+        fn predict(&mut self, graph: &QueryGraph) -> Result<Vec<(ArgLoc, f32)>, ServeError> {
+            self.submit(graph.clone())?.wait()
+        }
+
+        fn submit(&mut self, graph: QueryGraph) -> Result<Ticket, ServeError> {
+            let (respond, ticket) = crossbeam::channel::bounded(1);
+            self.jobs
+                .send((graph, respond))
+                .map_err(|_| ServeError::ShuttingDown)?;
+            Ok(Ticket::Waiting(ticket))
+        }
+    }
+
+    fn small_model(kernel: &Kernel) -> Pmm {
+        Pmm::new(
+            snowplow_pmm::model::PmmConfig {
+                dim: 16,
+                rounds: 1,
+                ..Default::default()
+            },
+            kernel.registry().syscall_count(),
+        )
+    }
+
+    /// Runs a `short_config(seed)` campaign and returns its report
+    /// fingerprint and rendered telemetry.
+    fn fingerprinted(kernel: &Kernel, kind: FuzzerKind, seed: u64) -> (String, String) {
+        let (telemetry, _sink) = Telemetry::in_memory();
+        let mut cfg = short_config(seed);
+        cfg.exec.telemetry = telemetry.clone();
+        let report = Campaign::new(kernel, kind, cfg).run();
+        (report.fingerprint(), telemetry.snapshot().render())
+    }
+
+    #[test]
+    fn late_tickets_change_nothing_but_wall_time() {
+        let kernel = Kernel::build(KernelVersion::V6_8);
+        for seed in [3u64, 4] {
+            let owned = fingerprinted(
+                &kernel,
+                FuzzerKind::Snowplow {
+                    model: Box::new(small_model(&kernel)),
+                },
+                seed,
+            );
+            let late = fingerprinted(
+                &kernel,
+                FuzzerKind::SnowplowShared {
+                    client: Box::new(DelayedClient::spawn(small_model(&kernel), true)),
+                },
+                seed,
+            );
+            assert!(
+                owned.1.contains("predict.locations"),
+                "the model was queried"
+            );
+            assert_eq!(
+                owned.0, late.0,
+                "report drifted with late tickets (seed {seed})"
+            );
+            assert_eq!(
+                owned.1, late.1,
+                "telemetry drifted with late tickets (seed {seed})"
+            );
+        }
+    }
+
+    #[test]
+    fn dropped_tickets_degrade_to_random_localization() {
+        let kernel = Kernel::build(KernelVersion::V6_8);
+        let (telemetry, _sink) = Telemetry::in_memory();
+        let mut cfg = short_config(3);
+        cfg.exec.telemetry = telemetry.clone();
+        let duration = cfg.duration;
+        let report = Campaign::new(
+            &kernel,
+            FuzzerKind::SnowplowShared {
+                client: Box::new(DelayedClient::spawn(small_model(&kernel), false)),
+            },
+            cfg,
+        )
+        .run();
+        let snap = telemetry.snapshot();
+        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        assert!(report.timeline.last().is_some_and(|p| p.at >= duration));
+        assert!(report.inferences > 0, "queries were submitted");
+        assert!(
+            counter("serve.degraded.shutdown") > 0,
+            "lost tickets are counted"
+        );
+        assert_eq!(
+            counter("mutate.guided"),
+            0,
+            "no lost ticket guides a mutation"
+        );
+        assert!(counter("mutate.random") > 0);
     }
 
     #[test]

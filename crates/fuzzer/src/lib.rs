@@ -29,7 +29,7 @@ pub mod repro;
 
 pub use campaign::{
     Campaign, CampaignConfig, CampaignConfigBuilder, CampaignReport, CampaignState,
-    EdgeAttribution, FuzzerKind, PendingPrediction, RunningCampaign, TimelinePoint,
+    EdgeAttribution, FuzzerKind, PendingPrediction, Prediction, RunningCampaign, TimelinePoint,
 };
 pub use clock::VirtualClock;
 pub use crash::{CrashLog, CrashRecord};

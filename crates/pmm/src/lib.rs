@@ -48,5 +48,6 @@ pub use graph::{EdgeType, NodeKind, QueryGraph};
 pub use model::{Pmm, PmmConfig};
 pub use server::{
     BatchPolicy, InferenceClient, InferenceService, InferenceStats, ServeError, ServiceClient,
+    Ticket,
 };
 pub use train::{EvalReport, TrainConfig, Trainer};

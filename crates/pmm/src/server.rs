@@ -620,16 +620,64 @@ impl Drop for InferenceService {
     }
 }
 
-/// A synchronous prediction endpoint a campaign can own.
+/// A submitted query's answer: already scored, or waiting on a replica.
+///
+/// [`InferenceClient::submit`] hands one back without blocking, so the
+/// caller can keep fuzzing while the forward pass runs and read the
+/// scores when it first needs them.
+#[derive(Debug)]
+pub enum Ticket {
+    /// Scored at submission (an in-process model).
+    Ready(Vec<(ArgLoc, f32)>),
+    /// Queued on a service replica.
+    Waiting(Pending),
+}
+
+impl Ticket {
+    /// Blocks until the scores arrive. A ticket whose sender was
+    /// dropped — the replica panicked mid-batch, or the service shut
+    /// down without answering — resolves to [`ServeError::ShuttingDown`].
+    pub fn wait(self) -> Result<Vec<(ArgLoc, f32)>, ServeError> {
+        match self {
+            Ticket::Ready(scores) => Ok(scores),
+            Ticket::Waiting(rx) => rx.recv().map_err(|_| ServeError::ShuttingDown),
+        }
+    }
+
+    /// [`Ticket::wait`] without blocking: the ticket comes back as
+    /// `Err` while its scores are still on the way.
+    pub fn try_wait(self) -> Result<Result<Vec<(ArgLoc, f32)>, ServeError>, Ticket> {
+        match self {
+            Ticket::Ready(scores) => Ok(Ok(scores)),
+            Ticket::Waiting(rx) => match rx.try_recv() {
+                Ok(scores) => Ok(Ok(scores)),
+                Err(channel::TryRecvError::Disconnected) => Ok(Err(ServeError::ShuttingDown)),
+                Err(channel::TryRecvError::Empty) => Err(Ticket::Waiting(rx)),
+            },
+        }
+    }
+}
+
+/// A prediction endpoint a campaign can own.
 ///
 /// Two implementations ship: [`Pmm`] itself — the in-process model a
-/// standalone Snowplow campaign embeds, which never fails — and
-/// [`ServiceClient`] — a tagged handle to a shared [`InferenceService`]
-/// whose error surface ([`ServeError`]) the campaign loop degrades
-/// around. `Send` is a supertrait so a boxed client can move with its
-/// campaign across fleet worker threads.
+/// standalone Snowplow campaign embeds, which scores at submission and
+/// never fails — and [`ServiceClient`] — a tagged handle to a shared
+/// [`InferenceService`] whose [`submit`](InferenceClient::submit)
+/// returns at once with a waiting [`Ticket`], and whose error surface
+/// ([`ServeError`]) the campaign loop degrades around. `Send` is a
+/// supertrait so a boxed client can move with its campaign across fleet
+/// worker threads.
 pub trait InferenceClient: Send {
+    /// Scores `graph`, blocking until the answer is in.
     fn predict(&mut self, graph: &QueryGraph) -> Result<Vec<(ArgLoc, f32)>, ServeError>;
+
+    /// Submits `graph` and returns without waiting for its scores where
+    /// the client can. The default scores at once through
+    /// [`predict`](InferenceClient::predict).
+    fn submit(&mut self, graph: QueryGraph) -> Result<Ticket, ServeError> {
+        self.predict(&graph).map(Ticket::Ready)
+    }
 }
 
 impl InferenceClient for Pmm {
@@ -638,9 +686,9 @@ impl InferenceClient for Pmm {
     }
 }
 
-/// Per-campaign handle to one shared [`InferenceService`]: every
-/// prediction is submitted (with backpressure) under the campaign's
-/// tag, so round-robin admission arbitrates between campaigns.
+/// Per-campaign handle to one shared [`InferenceService`]: every query
+/// is submitted (with backpressure) under the campaign's tag, so
+/// round-robin admission arbitrates between campaigns.
 pub struct ServiceClient {
     service: Arc<InferenceService>,
     tag: u32,
@@ -658,8 +706,13 @@ impl ServiceClient {
 
 impl InferenceClient for ServiceClient {
     fn predict(&mut self, graph: &QueryGraph) -> Result<Vec<(ArgLoc, f32)>, ServeError> {
+        self.submit(graph.clone())?.wait()
+    }
+
+    fn submit(&mut self, graph: QueryGraph) -> Result<Ticket, ServeError> {
         self.service
-            .predict_blocking_tagged(graph.clone(), self.tag)
+            .submit_blocking_tagged(graph, self.tag)
+            .map(Ticket::Waiting)
     }
 }
 
@@ -1288,6 +1341,70 @@ mod tests {
         // The Pmm impl of the trait is the identity wrapper.
         let owned = InferenceClient::predict(&mut model, &g).expect("infallible");
         assert_eq!(owned, direct);
+    }
+
+    #[test]
+    fn service_client_submit_returns_before_the_forward_pass() {
+        let kernel = Kernel::build(KernelVersion::V6_8);
+        let mut model = Pmm::new(
+            PmmConfig {
+                dim: 16,
+                rounds: 1,
+                ..PmmConfig::default()
+            },
+            kernel.registry().syscall_count(),
+        );
+        let g = graph_for(4, &kernel);
+        let direct = model.predict(&g);
+
+        // No replica runs: `submit` still returns at once, its ticket
+        // waiting. (Submitted from a helper thread, so a `submit` that
+        // waited for the forward pass fails the test instead of hanging
+        // it.)
+        let stalled = Arc::new(stalled_service(None, None, Telemetry::disabled()));
+        let (submitted, returned) = std::sync::mpsc::channel();
+        let submitter = {
+            let stalled = Arc::clone(&stalled);
+            let g = g.clone();
+            std::thread::spawn(move || {
+                let ticket = ServiceClient::new(stalled, 5).submit(g);
+                let _ = submitted.send(());
+                ticket
+            })
+        };
+        returned
+            .recv_timeout(Duration::from_secs(10))
+            .expect("submit returned without waiting for a replica");
+        let ticket = submitter
+            .join()
+            .expect("submitter thread")
+            .expect("admitted")
+            .try_wait()
+            .expect_err("no replica has answered");
+        // The unanswered request (and its sender) goes down with the
+        // service: the ticket resolves to an error instead of hanging.
+        drop(stalled);
+        assert_eq!(ticket.wait(), Err(ServeError::ShuttingDown));
+
+        // A live replica answers the ticket with the direct scores.
+        let service = Arc::new(InferenceService::start(&model, 1));
+        let mut client = ServiceClient::new(Arc::clone(&service), 5);
+        let served = client.submit(g.clone()).expect("admitted").wait();
+        assert_eq!(served, Ok(direct.clone()));
+        assert_eq!(service.served_by_tag().get(&5), Some(&1));
+        // Malformed queries are refused at submission, as by `predict`.
+        let mut empty = g.clone();
+        empty.candidates.clear();
+        assert!(matches!(
+            client.submit(empty),
+            Err(ServeError::MalformedBatch { .. })
+        ));
+
+        // The owned model scores at submission.
+        match InferenceClient::submit(&mut model, g) {
+            Ok(Ticket::Ready(scores)) => assert_eq!(scores, direct),
+            other => panic!("owned model must score at submission: {other:?}"),
+        }
     }
 
     #[test]

@@ -134,7 +134,11 @@ pub mod channel {
         fn drop(&mut self) {
             if self.chan.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender: wake blocked receivers so they observe
-                // the disconnect.
+                // the disconnect. Taking the queue lock first orders the
+                // wake-up after any receiver that read the old sender
+                // count and is about to wait; without it that receiver
+                // misses the notification and blocks forever.
+                drop(self.chan.queue.lock().unwrap_or_else(|e| e.into_inner()));
                 self.chan.ready.notify_all();
             }
         }

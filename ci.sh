@@ -20,11 +20,13 @@
 #                      snowplow-fleet and snowplow-fuzzer, the resume
 #                      goldens (checkpoint at virtual hour 12 + resume
 #                      must be bit-identical to the uninterrupted day at
-#                      workers 1/2/8, the shared-service arm must match
-#                      the owned model in report, telemetry and snapshot
-#                      bytes at 1/2/8 replicas and across checkpoints
-#                      taken while a prediction is in flight, and a
-#                      4-campaign fleet must share inference fairly),
+#                      workers 1/2/8, a campaign served by a shared
+#                      service must match one whose client is a `Pmm`
+#                      in report, telemetry and snapshot bytes at 1/2/8
+#                      replicas and across checkpoints taken while a
+#                      prediction is in flight, and a 4-campaign fleet
+#                      must share inference fairly with at most one
+#                      queued request per campaign),
 #                      and the campaign's deferred-prediction tests
 #                      (late tickets change nothing; dropped tickets
 #                      degrade to random localization).
@@ -52,7 +54,7 @@
 #                      kernel-equality tests (bit identity at workers
 #                      1/2/8), the f16 quantization tolerance golden, the
 #                      replica-serving tests (continuous batching,
-#                      admission control, fairness, non-blocking
+#                      round-robin tag lanes, non-blocking
 #                      ServiceClient::submit), the service-backed
 #                      fleet goldens (resume and shared-corpus reports
 #                      bit-identical through the shared service), and a
@@ -141,9 +143,9 @@ if [[ "${1:-}" == "inference" ]]; then
     # reference, and row-sharded parallel matmul bit-identical to serial.
     cargo test -q -p snowplow-mlcore --lib -- matrix:: quant::
     # Model layer: parallel predict_batch bit-identity + f16/int8
-    # freezing semantics; replica serving (continuous batching, weighted
-    # fairness, admission control, ServiceClient::submit returning a
-    # waiting ticket).
+    # freezing semantics; replica serving (continuous batching,
+    # round-robin tag lanes, ServiceClient::submit returning a waiting
+    # ticket).
     cargo test -q -p snowplow-pmm --lib -- \
         parallel_predict_batch_is_bit_identical_to_serial \
         quantize_none_is_a_noop_and_f16_stays_close \

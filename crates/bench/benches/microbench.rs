@@ -216,7 +216,7 @@ fn bench_predict_replicas(c: &mut Criterion) {
         b.iter(|| {
             let pendings: Vec<_> = graphs
                 .iter()
-                .map(|g| service.submit(g.clone()).expect("well-formed"))
+                .map(|g| service.submit(g.clone(), 0).expect("well-formed"))
                 .collect();
             pendings
                 .into_iter()

@@ -36,8 +36,8 @@ fn main() {
             snow_cfg.speed_factor = 1.0;
             let snow = Campaign::new(
                 &kernel,
-                FuzzerKind::Snowplow {
-                    model: Box::new(model.clone()),
+                FuzzerKind::SnowplowShared {
+                    client: Box::new(model.clone()),
                 },
                 snow_cfg,
             )

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use rand::prelude::*;
 use snowplow_bench::day_config;
 use snowplow_core::fuzzing::{Campaign, CorpusConfig, FuzzerKind, SchedulePolicy};
-use snowplow_core::learning::{BatchPolicy, InferenceService, Matrix, QueryGraph};
+use snowplow_core::learning::{InferenceService, Matrix, QueryGraph, MAX_BATCH};
 use snowplow_core::prelude::Telemetry;
 use snowplow_core::{train_pmm, Dataset, DatasetConfig, Kernel, KernelVersion, Pmm, Scale, Vm};
 
@@ -233,8 +233,8 @@ fn main() {
     let pendings: Vec<_> = (0..n_queries)
         .map(|i| {
             service
-                .submit(graphs[i % graphs.len()].clone())
-                .expect("unbounded service accepts every well-formed query")
+                .submit(graphs[i % graphs.len()].clone(), 0)
+                .expect("the service accepts every well-formed query")
         })
         .collect();
     for p in pendings {
@@ -280,8 +280,10 @@ fn main() {
     let start = Instant::now();
     for i in 0..n_queries {
         closed
-            .predict_blocking_tagged(graphs[i % graphs.len()].clone(), 1)
-            .expect("the service answers every well-formed query");
+            .submit(graphs[i % graphs.len()].clone(), 1)
+            .expect("the service accepts every well-formed query")
+            .recv()
+            .expect("the service answers every accepted query");
     }
     let wall = start.elapsed();
     let cstats = closed.stats();
@@ -298,73 +300,9 @@ fn main() {
     bench.gauge("inference_service_closed_loop.queue_wait_us", queue_wait_us);
     drop(closed);
 
-    // ---- Same saturation load against a bounded queue. -----------------
-    // The unbounded run above front-loads all 600 submissions, so queue
-    // wait dominates client latency. Capping the queue applies
-    // backpressure at submit time instead (`submit_blocking` waits for a
-    // slot rather than erroring like `submit`): latency stays near
-    // service time while throughput is unchanged (the model is the
-    // bottleneck either way). EXPERIMENTS.md records both configurations.
-    let queue_cap = 2 * BatchPolicy::default().max_batch;
-    let bounded = InferenceService::start_with_policy(
-        &model,
-        workers,
-        BatchPolicy {
-            queue_cap: Some(queue_cap),
-            ..BatchPolicy::default()
-        },
-    );
-    let start = Instant::now();
-    let mut done = 0usize;
-    let mut inflight = std::collections::VecDeque::new();
-    for i in 0..n_queries {
-        inflight.push_back(
-            bounded
-                .submit_blocking(graphs[i % graphs.len()].clone())
-                .expect("bounded service accepts every well-formed query"),
-        );
-        // Drain completed results as we go, like the fuzzer's loop does.
-        while inflight.len() > 32 {
-            let _ = inflight.pop_front().unwrap().recv();
-            done += 1;
-        }
-    }
-    for p in inflight {
-        let _ = p.recv();
-        done += 1;
-    }
-    let wall = start.elapsed();
-    let bstats = bounded.stats();
-    let qps_bounded = done as f64 / wall.as_secs_f64();
-    let mean_b = bstats.mean_latency();
-    let p95_b = bounded.latency_percentile(95.0);
-    println!("\n== §5.5 inference service, bounded queue (cap {queue_cap:?}) ==");
-    println!("throughput: {qps_bounded:.0} queries/s");
-    println!(
-        "client latency: mean {mean_b:?} | p95 {p95_b:?} | max queue depth {}",
-        bstats.max_queue_depth
-    );
-    bench.gauge("inference_service_bounded.workers", workers as f64);
-    bench.gauge("inference_service_bounded.queue_cap", queue_cap as f64);
-    bench.gauge("inference_service_bounded.qps", qps_bounded);
-    bench.gauge(
-        "inference_service_bounded.mean_latency_us",
-        mean_b.as_secs_f64() * 1e6,
-    );
-    bench.gauge(
-        "inference_service_bounded.p95_latency_us",
-        p95_b.as_secs_f64() * 1e6,
-    );
-    bench.gauge("inference_service_bounded.mean_batch", bstats.mean_batch());
-    bench.gauge(
-        "inference_service_bounded.max_queue_depth",
-        bstats.max_queue_depth as f64,
-    );
-    drop(bounded);
-
     // ---- Bursty load: the partial-batch drain path. ---------------------
-    // The saturation runs above front-load every submission, so every
-    // forward pass fills to max_batch exactly — a batch-formation bench
+    // The saturation run above front-loads every submission, so every
+    // forward pass fills to MAX_BATCH exactly — a batch-formation bench
     // that never exercises a partial drain. Here arrivals come in bursts
     // of varying size with idle gaps in between: a worker wakes on the
     // first request of a burst, drains whatever of it has queued by then
@@ -379,8 +317,8 @@ fn main() {
         let pendings: Vec<_> = (0..burst)
             .map(|i| {
                 bursty
-                    .submit(graphs[(submitted + i) % graphs.len()].clone())
-                    .expect("unbounded service accepts every well-formed query")
+                    .submit(graphs[(submitted + i) % graphs.len()].clone(), 0)
+                    .expect("the service accepts every well-formed query")
             })
             .collect();
         submitted += burst;
@@ -401,7 +339,7 @@ fn main() {
         burst_stats.served
     );
     assert!(
-        burst_stats.mean_batch() < BatchPolicy::default().max_batch as f64,
+        burst_stats.mean_batch() < MAX_BATCH as f64,
         "bursty arrivals must form partial batches, got a constant {:.2}",
         burst_stats.mean_batch()
     );
@@ -415,60 +353,6 @@ fn main() {
         burst_stats.batches as f64,
     );
     drop(bursty);
-
-    // ---- Admission control: shed load, keep latency bounded. ------------
-    // The same front-loaded 600-query flood as the unbounded run, but
-    // with `admit_depth` set: everything past the in-flight limit is
-    // shed with `ServeError::Overloaded` instead of queueing into the
-    // hundred-millisecond waits the unbounded gauge records. The mean
-    // latency of *admitted* queries is the payoff.
-    let admit_depth = 4 * BatchPolicy::default().max_batch;
-    let admitting = InferenceService::start_with_policy(
-        &model,
-        workers,
-        BatchPolicy {
-            admit_depth: Some(admit_depth),
-            ..BatchPolicy::default()
-        },
-    );
-    let start = Instant::now();
-    let mut shed = 0usize;
-    let mut admitted = Vec::new();
-    for i in 0..n_queries {
-        match admitting.submit(graphs[i % graphs.len()].clone()) {
-            Ok(p) => admitted.push(p),
-            Err(snowplow_core::prelude::ServeError::Overloaded { .. }) => shed += 1,
-            Err(e) => panic!("unexpected serve error: {e}"),
-        }
-    }
-    for p in &admitted {
-        let _ = p.recv();
-    }
-    let wall = start.elapsed();
-    let astats = admitting.stats();
-    let qps_admitted = admitted.len() as f64 / wall.as_secs_f64();
-    println!("\n== §5.5 inference service, admission control (depth {admit_depth}) ==");
-    println!(
-        "admitted {} / shed {} of {n_queries} | {qps_admitted:.0} queries/s | mean latency {:?} (unbounded run: {mean_latency:?})",
-        admitted.len(),
-        shed,
-        astats.mean_latency()
-    );
-    bench.gauge(
-        "inference_service_admission.admit_depth",
-        admit_depth as f64,
-    );
-    bench.gauge(
-        "inference_service_admission.admitted",
-        admitted.len() as f64,
-    );
-    bench.gauge("inference_service_admission.shed", shed as f64);
-    bench.gauge("inference_service_admission.qps", qps_admitted);
-    bench.gauge(
-        "inference_service_admission.mean_latency_us",
-        astats.mean_latency().as_secs_f64() * 1e6,
-    );
-    drop(admitting);
 
     // ---- Sharded dataset harvest (execs/sec, workers 1 vs 4). ----------
     println!("\n== dataset harvest throughput ==");
@@ -577,8 +461,8 @@ fn main() {
         let t = Instant::now();
         let s = Campaign::new(
             &kernel,
-            FuzzerKind::Snowplow {
-                model: Box::new(model.clone()),
+            FuzzerKind::SnowplowShared {
+                client: Box::new(model.clone()),
             },
             cfg.clone(),
         )

@@ -29,8 +29,8 @@ fn main() {
     for (kind_name, seeds) in [("snowplow", [11u64, 22]), ("syzkaller", [11, 22])] {
         for seed in seeds {
             let kind = if kind_name == "snowplow" {
-                FuzzerKind::Snowplow {
-                    model: Box::new(model.clone()),
+                FuzzerKind::SnowplowShared {
+                    client: Box::new(model.clone()),
                 }
             } else {
                 FuzzerKind::Syzkaller

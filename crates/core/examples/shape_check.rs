@@ -23,8 +23,8 @@ fn main() {
         let t = std::time::Instant::now();
         let snow = Campaign::new(
             &kernel,
-            FuzzerKind::Snowplow {
-                model: Box::new(model.clone()),
+            FuzzerKind::SnowplowShared {
+                client: Box::new(model.clone()),
             },
             cfg,
         )

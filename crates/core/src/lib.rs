@@ -19,7 +19,7 @@
 //! println!("PMM eval: {}", report.metrics);
 //! let campaign = Campaign::new(
 //!     &kernel,
-//!     FuzzerKind::Snowplow { model: Box::new(model) },
+//!     FuzzerKind::SnowplowShared { client: Box::new(model) },
 //!     CampaignConfig::default(),
 //! );
 //! let result = campaign.run();
@@ -103,7 +103,7 @@ pub mod learning {
         AdamConfig, BinaryMetrics, Matrix, Params, QuantStats, Quantize, Tape,
     };
     pub use snowplow_pmm::graph::{EdgeType, NodeKind, QueryGraph};
-    pub use snowplow_pmm::server::{BatchPolicy, InferenceService, InferenceStats};
+    pub use snowplow_pmm::server::{InferenceService, InferenceStats, MAX_BATCH};
     pub use snowplow_pmm::train::predict_locations;
 }
 

@@ -9,8 +9,9 @@
 //!
 //! Plus the fleet-level properties: four campaigns multiplexed over one
 //! inference service all finish, each shows up in the aggregate
-//! `fleet.c<id>.*` metrics, and none is starved below 20% of the fair
-//! inference share.
+//! `fleet.c<id>.*` metrics, none is starved below 20% of the fair
+//! inference share, and no replica's queue ever holds more than one
+//! request per campaign.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -128,8 +129,8 @@ fn shared_inference_resume_is_bit_identical() {
 }
 
 fn owned() -> FuzzerKind {
-    FuzzerKind::Snowplow {
-        model: Box::new(model()),
+    FuzzerKind::SnowplowShared {
+        client: Box::new(model()),
     }
 }
 
@@ -256,49 +257,60 @@ fn shared_checkpoint_at_every_interval_is_unobservable() {
 
 #[test]
 fn four_campaign_fleet_shares_inference_fairly() {
-    let service = Arc::new(InferenceService::start(&model(), 2));
-    let mut fleet = FleetScheduler::new(kernel(), Arc::clone(&service));
-    let mut ids = Vec::new();
-    for seed in 1u64..=4 {
-        let cfg = CampaignConfig::builder()
-            .duration(Duration::from_secs(4 * 3600))
-            .exec_cost(Duration::from_secs(60))
-            .sample_every(Duration::from_secs(3600))
-            .seed_corpus(10)
-            .seed(seed)
-            .telemetry(Telemetry::disabled()) // replaced by the scheduler
-            .build();
-        ids.push(fleet.spawn_shared(cfg));
-    }
-    fleet.run_to_completion(Duration::from_secs(600));
+    for replicas in [1usize, 2] {
+        let service = Arc::new(InferenceService::start(&model(), replicas));
+        let mut fleet = FleetScheduler::new(kernel(), Arc::clone(&service));
+        let mut ids = Vec::new();
+        for seed in 1u64..=4 {
+            let cfg = CampaignConfig::builder()
+                .duration(Duration::from_secs(4 * 3600))
+                .exec_cost(Duration::from_secs(60))
+                .sample_every(Duration::from_secs(3600))
+                .seed_corpus(10)
+                .seed(seed)
+                .telemetry(Telemetry::disabled()) // replaced by the scheduler
+                .build();
+            ids.push(fleet.spawn_shared(cfg));
+        }
+        fleet.run_to_completion(Duration::from_secs(600));
 
-    for id in &ids {
-        let report = fleet.report(*id).expect("campaign finished");
-        assert!(report.execs > 0);
-    }
+        for id in &ids {
+            let report = fleet.report(*id).expect("campaign finished");
+            assert!(report.execs > 0);
+        }
 
-    let agg = fleet.aggregate();
-    assert_eq!(agg.gauges.get("fleet.campaigns"), Some(&4.0));
-    for id in &ids {
-        let key = format!("fleet.c{id}.execs");
+        let agg = fleet.aggregate();
+        assert_eq!(agg.gauges.get("fleet.campaigns"), Some(&4.0));
+        for id in &ids {
+            let key = format!("fleet.c{id}.execs");
+            assert!(
+                agg.counters.get(&key).copied().unwrap_or(0) > 0,
+                "missing per-campaign counter {key}"
+            );
+        }
+
+        let served = service.served_by_tag();
+        assert_eq!(served.len(), 4, "every campaign reached the service");
+        let mean = served.values().sum::<u64>() as f64 / served.len() as f64;
+        for (tag, count) in &served {
+            assert!(
+                *count as f64 >= 0.2 * mean,
+                "campaign {tag} starved: served {count} of mean {mean:.1}"
+            );
+        }
+        let spread = fair_share_spread(&served).expect("queries were served");
+        assert!(spread >= 0.2, "fair-share spread {spread:.3} below 0.2");
+        assert_eq!(agg.gauges.get("fleet.fair_share_spread"), Some(&spread));
+
+        // The service has no queue bound: each campaign waits for its
+        // previous ticket before it submits again, so no replica's
+        // queue can hold more requests than there are campaigns.
+        let depth = service.stats().max_queue_depth;
         assert!(
-            agg.counters.get(&key).copied().unwrap_or(0) > 0,
-            "missing per-campaign counter {key}"
+            (1..=4).contains(&depth),
+            "queue depth {depth} at {replicas} replicas; four campaigns keep one query each in flight"
         );
     }
-
-    let served = service.served_by_tag();
-    assert_eq!(served.len(), 4, "every campaign reached the service");
-    let mean = served.values().sum::<u64>() as f64 / served.len() as f64;
-    for (tag, count) in &served {
-        assert!(
-            *count as f64 >= 0.2 * mean,
-            "campaign {tag} starved: served {count} of mean {mean:.1}"
-        );
-    }
-    let spread = fair_share_spread(&served).expect("queries were served");
-    assert!(spread >= 0.2, "fair-share spread {spread:.3} below 0.2");
-    assert_eq!(agg.gauges.get("fleet.fair_share_spread"), Some(&spread));
 }
 
 #[test]

@@ -30,7 +30,6 @@ use snowplow_analysis::PrunedCfg;
 use snowplow_corpus::{scheduler_for, CorpusConfig, CorpusHandle, ScheduleContext, SchedulePolicy};
 use snowplow_kernel::{BlockId, Coverage, EdgeSet, ExecResult, Kernel, Snapshot, Vm};
 use snowplow_pmm::graph::QueryGraph;
-use snowplow_pmm::model::Pmm;
 use snowplow_pmm::server::{InferenceClient, ServeError, Ticket};
 use snowplow_pool::ExecConfig;
 use snowplow_prog::gen::Generator;
@@ -44,22 +43,15 @@ use crate::crash::CrashLog;
 pub enum FuzzerKind {
     /// Stock Syzkaller-style fuzzing.
     Syzkaller,
-    /// PMM-guided argument localization (the model is owned by the
-    /// campaign; inference latency is accounted in virtual time).
-    Snowplow {
-        /// The trained localizer.
-        model: Box<Pmm>,
-    },
-    /// PMM-guided localization through a *shared* inference tier: the
-    /// campaign holds a tagged client handle instead of owning the
-    /// model — the fleet deployment of §3.4/§4, where one service
-    /// amortizes across many campaigns. Virtual-latency accounting is
-    /// identical to the owned-model mode, and so are the scores
-    /// (batched serving is bit-identical to direct prediction), so a
-    /// shared-tier campaign reports exactly what an owned-model
-    /// campaign with the same weights would.
+    /// PMM-guided argument localization through any
+    /// [`InferenceClient`]: an owned [`Pmm`](snowplow_pmm::model::Pmm)
+    /// that scores at submission, or a tagged handle to a shared
+    /// inference service (the fleet deployment of §3.4/§4). Inference
+    /// latency is accounted in virtual time, and batched serving is
+    /// bit-identical to direct prediction, so every client with the
+    /// same weights yields the same report.
     SnowplowShared {
-        /// Tagged handle to the shared service.
+        /// Where the campaign's queries go.
         client: Box<dyn InferenceClient>,
     },
 }
@@ -68,7 +60,6 @@ impl std::fmt::Debug for FuzzerKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             FuzzerKind::Syzkaller => "Syzkaller",
-            FuzzerKind::Snowplow { .. } => "Snowplow",
             FuzzerKind::SnowplowShared { .. } => "SnowplowShared",
         })
     }
@@ -77,8 +68,8 @@ impl std::fmt::Debug for FuzzerKind {
 /// Campaign tuning.
 ///
 /// `#[non_exhaustive]`: construct via [`CampaignConfig::builder`] (or
-/// start from `Default` and set fields), so future knobs — like the
-/// `exec` field this redesign added — never break call sites again.
+/// start from `Default` and set fields), so adding a field never breaks
+/// call sites.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct CampaignConfig {
@@ -971,7 +962,6 @@ impl<'k> RunningCampaign<'k> {
         let mut kind = std::mem::replace(&mut self.kind, FuzzerKind::Syzkaller);
         match &mut kind {
             FuzzerKind::Syzkaller => self.baseline_iteration(base_idx),
-            FuzzerKind::Snowplow { model } => self.snowplow_iteration(&mut **model, base_idx),
             FuzzerKind::SnowplowShared { client } => {
                 self.snowplow_iteration(&mut **client, base_idx)
             }
@@ -1145,20 +1135,18 @@ impl<'k> RunningCampaign<'k> {
     // Submit a mutation query for this base unless a prediction is
     // cached or already in flight (async: the result arrives after the
     // inference latency; meanwhile mutation continues below). Submission
-    // can be *declined* with a [`ServeError`] — bounded queue full,
-    // nothing to target, no mutable sites — exactly the error surface of
-    // the live inference service; every declination degrades to the
-    // stock random localizer. The model is any [`InferenceClient`]: the
+    // can be *declined* with a [`ServeError`] — `max_pending_predictions`
+    // reached, nothing to target, no mutable sites — the same error
+    // type the inference service returns; every declination degrades to
+    // the stock random localizer. The model is any [`InferenceClient`]: the
     // owned in-process PMM or a tagged handle to a shared service.
     fn try_submit_query(
         &mut self,
         model: &mut dyn InferenceClient,
         base_idx: usize,
     ) -> Result<(), ServeError> {
-        // Cheap short-circuit first: this bound mirrors
-        // `BatchPolicy::queue_cap` on the live service, and the check
-        // must stay ahead of the frontier work to keep the saturated hot
-        // loop cheap.
+        // Cheap short-circuit first: the check must stay ahead of the
+        // frontier work to keep the saturated hot loop cheap.
         if self.st.pending.len() >= self.config.max_pending_predictions {
             return Err(ServeError::QueueFull {
                 depth: self.st.pending.len(),
@@ -1344,9 +1332,6 @@ impl<'k> RunningCampaign<'k> {
                 Err(ServeError::QueueFull { .. }) => {
                     self.telemetry.counter("serve.degraded.queue_full", 1);
                 }
-                Err(ServeError::Overloaded { .. }) => {
-                    self.telemetry.counter("serve.degraded.overloaded", 1);
-                }
                 Err(ServeError::MalformedBatch { .. }) => {
                     self.telemetry.counter("serve.degraded.malformed", 1);
                 }
@@ -1484,6 +1469,7 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use snowplow_kernel::KernelVersion;
+    use snowplow_pmm::model::Pmm;
 
     use super::*;
 
@@ -1559,8 +1545,8 @@ mod tests {
         );
         let report = Campaign::new(
             &kernel,
-            FuzzerKind::Snowplow {
-                model: Box::new(model),
+            FuzzerKind::SnowplowShared {
+                client: Box::new(model),
             },
             short_config(3),
         )
@@ -1634,8 +1620,8 @@ mod tests {
         for seed in [3u64, 4] {
             let owned = fingerprinted(
                 &kernel,
-                FuzzerKind::Snowplow {
-                    model: Box::new(small_model(&kernel)),
+                FuzzerKind::SnowplowShared {
+                    client: Box::new(small_model(&kernel)),
                 },
                 seed,
             );
@@ -1715,8 +1701,8 @@ mod tests {
                         ..short_config(seed)
                     };
                     let kind = if snowplow {
-                        FuzzerKind::Snowplow {
-                            model: Box::new(mk_model()),
+                        FuzzerKind::SnowplowShared {
+                            client: Box::new(mk_model()),
                         }
                     } else {
                         FuzzerKind::Syzkaller

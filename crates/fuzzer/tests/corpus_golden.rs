@@ -57,8 +57,8 @@ fn private_store_campaigns_match_pre_refactor_hashes() {
         (9, true, 0x8dbebb1afe5f19ac),
     ] {
         let kind = if snowplow {
-            FuzzerKind::Snowplow {
-                model: Box::new(mk_model()),
+            FuzzerKind::SnowplowShared {
+                client: Box::new(mk_model()),
             }
         } else {
             FuzzerKind::Syzkaller

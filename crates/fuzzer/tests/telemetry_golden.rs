@@ -52,8 +52,8 @@ fn run(kernel: &Kernel, workers: usize) -> (MetricsSnapshot, CampaignReport) {
     let (telemetry, sink) = Telemetry::in_memory();
     let report = Campaign::new(
         kernel,
-        FuzzerKind::Snowplow {
-            model: model(kernel),
+        FuzzerKind::SnowplowShared {
+            client: model(kernel),
         },
         config(telemetry, workers),
     )
@@ -92,8 +92,8 @@ fn snapshot_carries_the_phase_profile() {
     let (telemetry, sink) = Telemetry::in_memory();
     let report = Campaign::new(
         &kernel,
-        FuzzerKind::Snowplow {
-            model: model(&kernel),
+        FuzzerKind::SnowplowShared {
+            client: model(&kernel),
         },
         config(telemetry, 1),
     )
@@ -144,8 +144,8 @@ fn telemetry_is_invisible_to_the_campaign() {
     let kernel = Kernel::build(KernelVersion::V6_8);
     let silent = Campaign::new(
         &kernel,
-        FuzzerKind::Snowplow {
-            model: model(&kernel),
+        FuzzerKind::SnowplowShared {
+            client: model(&kernel),
         },
         config(Telemetry::disabled(), 1),
     )

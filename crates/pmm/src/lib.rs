@@ -47,7 +47,6 @@ pub use dataset::{Dataset, DatasetConfig, Sample};
 pub use graph::{EdgeType, NodeKind, QueryGraph};
 pub use model::{Pmm, PmmConfig};
 pub use server::{
-    BatchPolicy, InferenceClient, InferenceService, InferenceStats, ServeError, ServiceClient,
-    Ticket,
+    InferenceClient, InferenceService, InferenceStats, ServeError, ServiceClient, Ticket, MAX_BATCH,
 };
 pub use train::{EvalReport, TrainConfig, Trainer};
